@@ -245,7 +245,8 @@ def check_engine_fidelity(
     threaded_kds.controller.add_index("gpa", "age", "major", "credits", "semester")
     # Replay the serial farm's exact contents into the threaded farm.
     for backend, source in zip(threaded_kds.controller.backends, serial.controller.backends):
-        backend.restore_image(source.capture_image())
+        for file_name in source.file_names():
+            backend.restore_file(file_name, source.capture_file(file_name))
     left = run_once(serial, requests)
     right = run_once(threaded_kds, requests)
     identical = all(

@@ -9,7 +9,7 @@ message-passing-clean: no live object, lock, or cache ever crosses.
 
 * :mod:`repro.ipc.codec` — the wire codec: requests (extending the WAL's
   mutating-request codec to retrievals), results, scan statistics,
-  backend images, pruning summaries, index digests, and trace spans.
+  file pre-images, pruning summaries, index digests, and trace spans.
 * :mod:`repro.ipc.worker` — the worker process main loop.
 * :mod:`repro.ipc.proxy` — :class:`~repro.ipc.proxy.ProcessBackend`, the
   controller-side stand-in that speaks the protocol while duck-typing

@@ -23,7 +23,7 @@ Three details carry the engine contract:
   round trip per op.
 * **Summary caching** — pruning consults summaries on every broadcast,
   so the proxy caches the last decoded summary and drops it whenever a
-  mutating request (or replay, restore, direct store edit) goes through,
+  mutating request (or replay, file restore, direct store edit) goes through,
   mirroring the per-file invalidation the worker's own
   :class:`~repro.mbds.summary.SummaryCache` performs on its side.
 
@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.abdl.ast import Request
     from repro.abdm.plan import AttributeIndexDigest
     from repro.abdm.record import Record
-    from repro.mbds.backend import BackendImage, BackendResult, StoreFactory
+    from repro.mbds.backend import BackendResult, StoreFactory
     from repro.mbds.summary import BackendSummary
     from repro.mbds.timing import TimingModel
     from repro.obs.trace import Span
@@ -366,13 +366,6 @@ class ProcessBackend:
         self._defer(
             {"cmd": "replay", "request": codec.encode_any_request(request)}
         )
-
-    def capture_image(self) -> "BackendImage":
-        return codec.decode_image(self._call({"cmd": "capture"})["image"])
-
-    def restore_image(self, image: "BackendImage") -> None:
-        self._summary_cache = None
-        self._call({"cmd": "restore", "image": codec.encode_image(image)})
 
     def file_names(self) -> list[str]:
         return list(self._call({"cmd": "file_names"})["files"])

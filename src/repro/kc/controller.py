@@ -10,8 +10,7 @@ statement translated into exactly the ABDL the thesis's chapters show.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.mbds.sessions import KernelSession
@@ -31,12 +30,11 @@ from repro.mbds.kds import KernelDatabaseSystem
 class KernelController:
     """Executes ABDL requests on the shared KDS for one run-unit.
 
-    *session* optionally binds the run-unit to a kernel session (see
-    :meth:`repro.mbds.kds.KernelDatabaseSystem.create_session`): every
-    request then executes under kernel concurrency control — two-phase
-    locks and session-owned WAL transactions — so many run-units can
-    share the kernel simultaneously.  Without one, requests take the
-    legacy single-caller path unchanged.
+    Every request executes under kernel concurrency control — two-phase
+    locks and session-owned WAL transactions — on *session* (see
+    :meth:`repro.mbds.kds.KernelDatabaseSystem.create_session`), so many
+    run-units can share the kernel simultaneously.  Without one, the
+    run-unit runs on the kernel's ``default_session``.
     """
 
     def __init__(
@@ -63,22 +61,6 @@ class KernelController:
             if span:
                 span.record(abdl=rendered)
         return result
-
-    @contextmanager
-    def transaction(self) -> Iterator[None]:
-        """Group the requests executed inside into one kernel transaction.
-
-        Commits on normal exit, aborts (journal and in-memory) on error —
-        see :meth:`repro.mbds.kds.KernelDatabaseSystem.transaction`.  A
-        session-bound run-unit gets its session's concurrent transaction
-        protocol (locks held to commit, file-granular undo on abort).
-        """
-        if self.session is not None:
-            with self.kds.session_transaction(self.session):
-                yield
-            return
-        with self.kds.transaction():
-            yield
 
     def retrieve(
         self,

@@ -27,11 +27,10 @@ record to exactly one backend.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence
 
 from repro.abdl.ast import (
     BulkInsertRequest,
@@ -40,13 +39,12 @@ from repro.abdl.ast import (
     Request,
     RetrieveCommonRequest,
     RetrieveRequest,
-    Transaction,
     UpdateRequest,
 )
 from repro.abdl.executor import RequestResult
 from repro.abdm.record import Record
-from repro.errors import ExecutionError
-from repro.mbds.backend import Backend, BackendImage, BackendResult, StoreFactory
+from repro.errors import ExecutionError, WalError
+from repro.mbds.backend import Backend, BackendResult, StoreFactory
 from repro.mbds.engine import EngineSpec, ExecutionEngine, make_engine
 from repro.mbds.placement import PlacementPolicy, RoundRobinPlacement
 from repro.mbds.sessions import KernelSession
@@ -62,8 +60,6 @@ from repro.qc import runtime as qc_runtime
 from repro.wal.faults import CrashPoint, InjectedCrash
 from repro.wal.log import WalManager
 
-_T = TypeVar("_T")
-
 _OPERATION_NAMES = {
     RetrieveRequest: "RETRIEVE",
     RetrieveCommonRequest: "RETRIEVE-COMMON",
@@ -77,13 +73,8 @@ _OPERATION_NAMES = {
 #: Request types that mutate backend stores (and so must be journaled).
 _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateRequest)
 
-
-@dataclass
-class ControllerImage:
-    """Pre-image of the whole farm plus placement state (for rollback)."""
-
-    backends: list[BackendImage]
-    placement: PlacementPolicy
+#: How each operation's result count moves a backend's record count.
+_COUNT_SIGNS = {"INSERT": 1, "BULK-INSERT": 1, "DELETE": -1}
 
 
 @dataclass
@@ -107,10 +98,10 @@ class ExecutionTrace:
     wall_ms: float = 0.0
     per_backend_wall_ms: list[float] = field(default_factory=list)
     phases: list[BroadcastPhase] = field(default_factory=list)
-    #: Global commit order stamped by the KDS for session auto-commits
-    #: (None for reads, legacy execution, and in-transaction requests —
-    #: those get their order from session_commit).  Serial replay of
-    #: mutations in commit_seq order reproduces the farm bit-identically.
+    #: Global commit order stamped by the KDS for auto-commits (None for
+    #: reads and in-transaction requests — those get their order from
+    #: session_commit).  Serial replay of mutations in commit_seq order
+    #: reproduces the farm bit-identically.
     commit_seq: Optional[int] = None
     #: The commit seq a lock-free snapshot read pinned (None when the
     #: request ran on the ordinary locking path).  A retrieval with a
@@ -201,11 +192,11 @@ class BackendController:
         the per-backend span names, so the two can never disagree (the
         KDS passes ``left``/``right`` for RETRIEVE-COMMON's halves).
 
-        *session* identifies a concurrent kernel session: its mutations
-        journal under the session's own WAL transaction (or a per-request
-        auto-commit transaction owned by the session) instead of the
-        legacy single transaction slot.  The KDS is responsible for
-        having acquired the request's locks before calling in.
+        *session* is the kernel session the request runs on (the KDS
+        always passes one): its mutations journal under the session's
+        own WAL transaction, or a per-request auto-commit transaction
+        owned by the session.  The KDS is responsible for having
+        acquired the request's locks before calling in.
 
         *snapshot* (a commit seq) makes a RETRIEVE / RETRIEVE-COMMON
         read the committed state at that seq via the stores' version
@@ -220,107 +211,62 @@ class BackendController:
             request, label or PHASE_BROADCAST, session, snapshot
         )
 
-    def execute_transaction(self, transaction: Transaction) -> list[ExecutionTrace]:
-        """Execute requests sequentially, as ABDL transactions require."""
-        return [self.execute(request) for request in transaction]
-
     def _journal(
         self,
-        request: Request,
+        requests: Sequence[Request],
         targets: Sequence[Backend],
-        session: Optional[KernelSession] = None,
-    ) -> tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]:
-        """Journal *request* for *targets* ahead of applying it.
+        session: Optional[KernelSession],
+        apply: Callable[[], list[BackendResult]],
+    ) -> list[BackendResult]:
+        """Journal ``requests[i]`` for ``targets[i]``, apply, then settle.
 
-        Opens a single-request (auto-commit) transaction when no explicit
-        transaction is in progress and returns ``(commit, abort)``
-        thunks: *commit* (None when no commit is due) writes that
-        transaction's commit record after the request applied; *abort*
-        (None unless this call opened a transaction) writes its abort
-        record if the apply fails, so the auto-commit slot — the
-        session's owner slot or the legacy single slot — is never left
-        occupied by a request that will neither commit nor be retried.
-        Session requests journal under the session's open owned
-        transaction, or an owned auto-commit transaction (committed
-        without counts — concurrent sessions make whole-farm record
-        counts unstable).
-        """
-        if self.wal is None:
-            return None, None
-        if session is not None:
-            if session.wal_txn is not None:
-                for backend in targets:
-                    self.wal.log_op(backend.backend_id, request, txn=session.wal_txn)
-                return None, None
-            txn = self.wal.begin(owner=session.owner)
-            for backend in targets:
-                self.wal.log_op(backend.backend_id, request, txn=txn)
-            return (
-                lambda: self.wal.commit(txn=txn),
-                lambda: self.wal.abort(txn=txn),
-            )
-        auto = not self.wal.in_transaction
-        if auto:
-            self.wal.begin()
-        for backend in targets:
-            self.wal.log_op(backend.backend_id, request)
-        if auto:
-            return lambda: self.wal.commit(self.distribution()), self.wal.abort
-        return None, None
-
-    def _apply_journaled(
-        self,
-        apply: Callable[[], "_T"],
-        abort: Optional[Callable[[], None]],
-    ) -> "_T":
-        """Run *apply* between the crash points, aborting on real failure.
+        Each target gets its own log line ahead of the apply: the whole
+        request for a broadcast or a routed INSERT, the records routed to
+        that backend for a BULK-INSERT.  Inside *session*'s open
+        transaction the ops join it and the apply's record-count delta
+        accumulates on the session for its commit record; otherwise the
+        request is its own session-owned (auto-commit) transaction,
+        committed with its delta after the apply.
 
         An :class:`~repro.wal.faults.InjectedCrash` is the simulated
         machine dying — a dead machine writes no abort record, and
         recovery discards the uncommitted transaction from the log — so
-        it propagates untouched.  Any other failure (ExecutionError,
-        WorkerCrashed, ...) aborts the transaction this request opened,
-        freeing its auto-commit slot for the session's next statement.
+        it propagates untouched.  Any other failure aborts the
+        auto-commit transaction, so the session's owner slot is never
+        left occupied by a request that will neither commit nor be
+        retried.
         """
+        wal = self.wal
+        if wal is None:
+            return apply()
+        if session is None:
+            raise WalError("journaled requests need a kernel session")
+        txn = session.wal_txn
+        auto = txn is None
+        if txn is None:
+            txn = wal.begin(session.owner)
         try:
-            if self.wal is not None:
-                self.wal.fire(CrashPoint.BEFORE_APPLY)
-            result = apply()
-            if self.wal is not None:
-                self.wal.fire(CrashPoint.AFTER_APPLY)
-            return result
+            for backend, request in zip(targets, requests):
+                if isinstance(request, BulkInsertRequest):
+                    wal.log_bulk(backend.backend_id, request, txn=txn)
+                else:
+                    wal.log_op(backend.backend_id, request, txn=txn)
+            wal.fire(CrashPoint.BEFORE_APPLY)
+            partials = apply()
+            wal.fire(CrashPoint.AFTER_APPLY)
+            delta = _count_delta(partials)
+            if auto:
+                wal.commit(txn, delta)
+            else:
+                for backend_id, change in delta.items():
+                    session.delta[backend_id] = session.delta.get(backend_id, 0) + change
         except InjectedCrash:
             raise
         except BaseException:
-            if abort is not None:
-                abort()
+            if auto:
+                wal.abort(txn)
             raise
-
-    def _commit_journaled(
-        self,
-        commit: Optional[Callable[[], None]],
-        abort: Optional[Callable[[], None]],
-    ) -> None:
-        """Commit a journaled request, aborting if the commit itself fails.
-
-        The auto-commit record captures the farm's record-count checksum,
-        and computing it talks to every backend — so a worker dying at
-        just the wrong moment surfaces *here*, after the apply succeeded.
-        Without the abort the transaction would be stranded open, which
-        blocks farm healing (see :meth:`KernelDatabaseSystem.heal_workers`)
-        and checkpointing alike.  :class:`~repro.wal.faults.InjectedCrash`
-        still propagates untouched: a dead machine writes no abort record.
-        """
-        if commit is None:
-            return
-        try:
-            commit()
-        except InjectedCrash:
-            raise
-        except BaseException:
-            if abort is not None:
-                abort()
-            raise
+        return partials
 
     def _execute_insert(
         self,
@@ -333,12 +279,13 @@ class BackendController:
             index = self.placement.place(request.record, self.backend_count)
         if session is not None and session.in_transaction:
             session.placed.append((request.record.file_name, index))
-        commit, abort = self._journal(request, [self.backends[index]], session)
-        backend_result = self._apply_journaled(
-            lambda: self.engine.execute_one(self.backends[index], request, label),
-            abort,
+        target = self.backends[index]
+        (backend_result,) = self._journal(
+            [request],
+            [target],
+            session,
+            lambda: [self.engine.execute_one(target, request, label)],
         )
-        self._commit_journaled(commit, abort)
         wall_ms = (time.perf_counter() - start) * 1000.0
         self._account(label, [backend_result])
         response = ResponseTime()
@@ -355,43 +302,6 @@ class BackendController:
             per_backend_wall_ms=[backend_result.wall_ms],
             phases=[phase],
         )
-
-    def _journal_bulk(
-        self,
-        shards: Sequence[BulkInsertRequest],
-        targets: Sequence[Backend],
-        session: Optional[KernelSession] = None,
-    ) -> tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]:
-        """Journal one per-backend bulk shard per target, as :meth:`_journal`.
-
-        Each target backend receives exactly the records routed to it as a
-        single BULK-INSERT log record — one journal line per backend per
-        batch, instead of one per record.  The transaction cases (open
-        session transaction / owned auto-commit / legacy slot) mirror
-        :meth:`_journal` exactly.
-        """
-        if self.wal is None:
-            return None, None
-        if session is not None:
-            if session.wal_txn is not None:
-                for backend, shard in zip(targets, shards):
-                    self.wal.log_bulk(backend.backend_id, shard, txn=session.wal_txn)
-                return None, None
-            txn = self.wal.begin(owner=session.owner)
-            for backend, shard in zip(targets, shards):
-                self.wal.log_bulk(backend.backend_id, shard, txn=txn)
-            return (
-                lambda: self.wal.commit(txn=txn),
-                lambda: self.wal.abort(txn=txn),
-            )
-        auto = not self.wal.in_transaction
-        if auto:
-            self.wal.begin()
-        for backend, shard in zip(targets, shards):
-            self.wal.log_bulk(backend.backend_id, shard)
-        if auto:
-            return lambda: self.wal.commit(self.distribution()), self.wal.abort
-        return None, None
 
     def _execute_bulk_insert(
         self,
@@ -427,15 +337,15 @@ class BackendController:
         indices = sorted(groups)
         targets = [self.backends[i] for i in indices]
         shards = [BulkInsertRequest(groups[i]) for i in indices]
-        commit, abort = self._journal_bulk(shards, targets, session)
         # The apply span covers store mutation AND the deferred index
         # finalize (sort-once), which runs inside each backend's store.
         with self.obs.tracer.span("bulk.apply"):
-            partials = self._apply_journaled(
+            partials = self._journal(
+                shards,
+                targets,
+                session,
                 lambda: self.engine.run_distinct(targets, shards, label),
-                abort,
             )
-        self._commit_journaled(commit, abort)
         merged = _merge(request, partials)
         per_backend_ms = [0.0] * self.backend_count
         per_backend_wall_ms = [0.0] * self.backend_count
@@ -478,12 +388,12 @@ class BackendController:
                 if observe is not None:
                     observe(request)
         if mutating:
-            commit, abort = self._journal(request, targets, session)
-            partials = self._apply_journaled(
+            partials = self._journal(
+                [request] * len(targets),
+                targets,
+                session,
                 lambda: self.engine.run(targets, request, label) if targets else [],
-                abort,
             )
-            self._commit_journaled(commit, abort)
         else:
             partials = (
                 self.engine.run(targets, request, label, snapshot)
@@ -578,27 +488,6 @@ class BackendController:
                 metrics.inc("prune.skipped_backends", skipped)
         return pruned
 
-    # -- transaction rollback ----------------------------------------------------
-
-    def capture_state(self) -> ControllerImage:
-        """Deep pre-image of every backend plus the placement policy.
-
-        Taken at explicit transaction begin so that an abort can roll the
-        in-memory farm back to exactly the pre-transaction state —
-        matching what recovery would reconstruct from the log, where the
-        aborted transaction is discarded.
-        """
-        return ControllerImage(
-            [backend.capture_image() for backend in self.backends],
-            copy.deepcopy(self.placement),
-        )
-
-    def restore_state(self, image: ControllerImage) -> None:
-        """Roll every backend (and placement state) back to *image*."""
-        for backend, backend_image in zip(self.backends, image.backends):
-            backend.restore_image(backend_image)
-        self.placement = image.placement
-
     # -- maintenance -------------------------------------------------------------
 
     def add_index(self, *attributes: str) -> None:
@@ -658,6 +547,16 @@ def _empty_result(request: Request) -> RequestResult:
         if isinstance(request, request_type):
             return RequestResult(operation)
     raise ExecutionError(f"unknown request type {type(request).__name__}")
+
+
+def _count_delta(partials: Sequence[BackendResult]) -> dict[int, int]:
+    """Net record-count change per backend: +inserted, -deleted."""
+    delta: dict[int, int] = {}
+    for partial in partials:
+        sign = _COUNT_SIGNS.get(partial.result.operation, 0)
+        if sign and partial.result.count:
+            delta[partial.backend_id] = sign * partial.result.count
+    return delta
 
 
 def _merge(request: Request, partials: Sequence[BackendResult]) -> RequestResult:

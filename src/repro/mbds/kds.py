@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -35,11 +35,7 @@ from repro.abdl.aggregates import digest_plan, merge_digests
 from repro.abdl.executor import RequestResult, merge_common, project
 from repro.abdm.record import Record
 from repro.errors import ExecutionError, SnapshotTooOld, WalError, WorkerCrashed
-from repro.mbds.controller import (
-    BackendController,
-    ControllerImage,
-    ExecutionTrace,
-)
+from repro.mbds.controller import BackendController, ExecutionTrace
 from repro.mbds.engine import EngineSpec
 from repro.mbds.locks import LockManager, lock_items
 from repro.mbds.placement import PlacementPolicy
@@ -100,12 +96,12 @@ class KernelDatabaseSystem:
         enables summary-based broadcast pruning; *latency_scale* emulates
         real disk stalls (see :class:`~repro.mbds.backend.Backend`).
         *wal* attaches a write-ahead log: mutating requests are journaled
-        before applying and grouped into transactions (see
-        :meth:`transaction`).  *obs* attaches an
+        before applying and grouped into session transactions (see
+        :meth:`session_transaction`).  *obs* attaches an
         :class:`~repro.obs.Observability` bundle (tracing + metrics +
         slow log); the default is the no-op null bundle.
         *snapshot_reads* enables the lock-free MVCC read path for
-        session-tagged RETRIEVEs (see :meth:`_execute_session`);
+        RETRIEVEs (see :meth:`_execute_session`);
         *version_retain* caps the per-file version-chain depth on
         in-process stores (process-engine workers keep the library
         default; their chains still garbage-collect by watermark)."""
@@ -126,9 +122,7 @@ class KernelDatabaseSystem:
         self.clock = ResponseTime()
         #: Count of requests executed (for the benchmark harnesses).
         self.requests_executed = 0
-        #: Farm pre-image captured at explicit transaction begin.
-        self._txn_image: Optional[ControllerImage] = None
-        #: Kernel concurrency control for session-tagged execution.
+        #: Kernel concurrency control: every request runs on a session.
         self.locks = LockManager(lock_timeout)
         #: Guards the shared accounting (clock, counters) across sessions.
         self._state_lock = threading.Lock()
@@ -157,6 +151,8 @@ class KernelDatabaseSystem:
                 if hasattr(store, "version_retain"):
                     store.version_retain = version_retain
         self._session_counter = 0
+        #: The kernel's own session, used by every caller that names none.
+        self.default_session = KernelSession("kernel")
         self.locks.bind_metrics(self.obs.metrics)
         # Supervise a respawnable engine: crashes latch instead of
         # immediately stopping the farm, so execute() can heal from
@@ -176,76 +172,16 @@ class KernelDatabaseSystem:
         """The observability bundle shared by every layer of this kernel."""
         return self.controller.obs
 
-    # -- transactions ------------------------------------------------------------
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._txn_image is not None
-
-    def begin_transaction(self) -> None:
-        """Open an explicit kernel transaction.
-
-        Until :meth:`commit_transaction`, every mutating request journals
-        under one WAL transaction (recovery applies all of it or none),
-        and :meth:`abort_transaction` can roll the in-memory farm back to
-        this point.  Without a WAL the in-memory rollback still works.
-        """
-        if self._txn_image is not None:
-            raise WalError("a kernel transaction is already open (no nesting)")
-        self._txn_image = self.controller.capture_state()
-        if self.wal is not None:
-            self.wal.begin()
-
-    def commit_transaction(self) -> None:
-        """Make the open transaction durable (writes the commit record)."""
-        if self._txn_image is None:
-            raise WalError("no kernel transaction to commit")
-        if self.wal is not None:
-            self.wal.commit(self.controller.distribution())
-        self._txn_image = None
-
-    def abort_transaction(self) -> None:
-        """Discard the open transaction: journal-level and in-memory.
-
-        The WAL records an abort (recovery skips the ops) and every
-        backend store is rolled back to the pre-transaction image, so the
-        live system and a recovered one agree.
-        """
-        if self._txn_image is None:
-            raise WalError("no kernel transaction to abort")
-        if self.wal is not None:
-            self.wal.abort()
-        self.controller.restore_state(self._txn_image)
-        self._txn_image = None
-
-    @contextmanager
-    def transaction(self) -> Iterator[None]:
-        """Scope a kernel transaction: commit on success, abort on error.
-
-        An :class:`~repro.wal.faults.InjectedCrash` is *not* handled —
-        a crashed machine writes no abort record; it just dies.
-        """
-        self.begin_transaction()
-        try:
-            yield
-        except InjectedCrash:
-            raise
-        except BaseException:
-            self.abort_transaction()
-            raise
-        else:
-            self.commit_transaction()
-
-    # -- concurrent sessions -----------------------------------------------------
+    # -- sessions ----------------------------------------------------------------
     #
-    # The legacy transaction API above assumes one caller at a time (one
-    # farm-wide pre-image, the WAL's single slot).  Kernel sessions are
-    # the concurrent protocol: each carries its own WAL transaction, its
-    # own file-granular undo, and a lock owner identity.  Requests tagged
-    # with a session acquire two-phase locks (see repro.mbds.locks), so
-    # concurrent RETRIEVEs proceed in parallel while mutations serialize
-    # per file, and every history is conflict-equivalent to the commit
-    # order the kernel stamps (``commit_seq``).
+    # Every request runs on a kernel session — the caller's, or the
+    # kernel's own default_session when it names none.  Each session
+    # carries its own WAL transaction, its own file-granular undo, and a
+    # lock owner identity.  Requests acquire two-phase locks (see
+    # repro.mbds.locks), so concurrent RETRIEVEs proceed in parallel
+    # while mutations serialize per file, and every history is
+    # conflict-equivalent to the commit order the kernel stamps
+    # (``commit_seq``).
 
     def create_session(self, name: Optional[str] = None) -> KernelSession:
         """Register a new concurrent caller of this kernel."""
@@ -282,14 +218,10 @@ class KernelDatabaseSystem:
         """
         if not session.in_transaction:
             raise WalError(f"session {session.owner!r} has no transaction to commit")
-        if self.wal is not None:
-            self.wal.commit(txn=session.wal_txn)
-            self.wal.fire(CrashPoint.BEFORE_VERSION_SEAL)
-        seq = self._next_commit_seq()
-        self._seal_backends(self._session_seal_files(session), seq)
-        if self.wal is not None:
-            self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
-        self._mark_stable(seq)
+        wal, txn = self.wal, session.wal_txn
+        if wal is not None and txn is not None:
+            wal.commit(txn, session.delta)
+        seq = self._publish(self._session_seal_files(session))
         session.end_transaction()
         session.commits += 1
         self.locks.release_all(session.owner)
@@ -306,8 +238,9 @@ class KernelDatabaseSystem:
         """
         if not session.in_transaction:
             raise WalError(f"session {session.owner!r} has no transaction to abort")
-        if self.wal is not None:
-            self.wal.abort(txn=session.wal_txn)
+        wal, txn = self.wal, session.wal_txn
+        if wal is not None and txn is not None:
+            wal.abort(txn)
         touched = bool(session.undo) or bool(session.wildcard_backends)
         backends = self.controller.backends
         for (backend_id, file_name), records in sorted(session.undo.items()):
@@ -336,8 +269,7 @@ class KernelDatabaseSystem:
     def session_transaction(self, session: KernelSession) -> Iterator[KernelSession]:
         """Scope a session transaction: commit on success, abort on error.
 
-        As with :meth:`transaction`, an
-        :class:`~repro.wal.faults.InjectedCrash` is *not* handled — a
+        An :class:`~repro.wal.faults.InjectedCrash` is *not* handled — a
         crashed machine writes no abort record; it just dies.
         """
         self.session_begin(session)
@@ -351,6 +283,10 @@ class KernelDatabaseSystem:
         else:
             self.session_commit(session)
 
+    def transaction(self) -> AbstractContextManager[KernelSession]:
+        """Scope a transaction on :attr:`default_session`."""
+        return self.session_transaction(self.default_session)
+
     def _capture_undo(self, session: KernelSession, request: Request) -> None:
         """Lazily capture pre-images of the files *request* may mutate.
 
@@ -361,15 +297,7 @@ class KernelDatabaseSystem:
         Captures happen at most once per (backend, file) per transaction
         — the first mutation wins, preserving the true pre-image.
         """
-        if isinstance(request, InsertRequest):
-            name = request.record.file_name
-            files = [name] if name is not None else None
-        elif isinstance(request, BulkInsertRequest):
-            names = {record.file_name for record in request.records}
-            files = sorted(names) if None not in names else None  # type: ignore[type-var]
-        else:
-            pinned = affected_files(request.query)  # type: ignore[attr-defined]
-            files = sorted(pinned) if pinned is not None else None
+        files = self._request_files(request)
         for backend in self.controller.backends:
             backend_id = backend.backend_id
             if backend_id in session.wildcard_backends:
@@ -383,7 +311,7 @@ class KernelDatabaseSystem:
                 session.wildcard_backends.add(backend_id)
 
     def _execute_session(self, request: Request, session: KernelSession) -> ExecutionTrace:
-        """Session-tagged execution: lock, (maybe) capture undo, run.
+        """Execute on *session*: lock, (maybe) capture undo, run.
 
         Outside a transaction, locks span just this request and a
         mutation auto-commits under a session-owned WAL transaction,
@@ -422,12 +350,7 @@ class KernelDatabaseSystem:
                 self._capture_undo(session, request)
             with self.obs.tracer.span("kds.execute") as span:
                 try:
-                    if isinstance(request, RetrieveRequest) and request.has_aggregates:
-                        trace = self._execute_aggregate(request)
-                    elif isinstance(request, RetrieveCommonRequest):
-                        trace = self._execute_common(request)
-                    else:
-                        trace = self.controller.execute(request, session=session)
+                    trace = self._dispatch(request, session)
                 except InjectedCrash:
                     raise
                 except BaseException:
@@ -449,19 +372,26 @@ class KernelDatabaseSystem:
                         session=session.owner,
                     )
             if mutating and release_after:
-                if self.wal is not None:
-                    self.wal.fire(CrashPoint.BEFORE_VERSION_SEAL)
-                seq = self._next_commit_seq()
-                self._seal_backends(self._request_files(request), seq)
-                if self.wal is not None:
-                    self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
-                self._mark_stable(seq)
-                trace.commit_seq = seq
+                trace.commit_seq = self._publish(self._request_files(request))
             self._account_session(trace, session)
             return trace
         finally:
             if release_after:
                 self.locks.release_all(session.owner)
+
+    def _dispatch(
+        self,
+        request: Request,
+        session: KernelSession,
+        snapshot: Optional[int] = None,
+    ) -> ExecutionTrace:
+        """Route *request* to the controller, or to the controller-side
+        evaluation aggregates and RETRIEVE-COMMON need."""
+        if isinstance(request, RetrieveRequest) and request.has_aggregates:
+            return self._execute_aggregate(request, session, snapshot)
+        if isinstance(request, RetrieveCommonRequest):
+            return self._execute_common(request, session, snapshot)
+        return self.controller.execute(request, session=session, snapshot=snapshot)
 
     def _account_session(self, trace: ExecutionTrace, session: KernelSession) -> None:
         """Fold one finished request into the shared kernel accounting."""
@@ -479,15 +409,15 @@ class KernelDatabaseSystem:
 
     # -- MVCC snapshots ----------------------------------------------------------
     #
-    # Every commit unit — a session commit, a session auto-commit, or a
-    # legacy single-caller mutation — seals the pending version-chain
-    # entries it opened with its commit seq (repro.abdm.store keeps the
-    # chains), then publishes the seq as *stable* once every earlier seq
-    # is sealed too.  A lock-free read pins the stable seq; the stores
-    # reconstruct that committed state from their chains.  The pin holds
-    # the GC watermark down so the entries the read needs cannot be
-    # trimmed out from under it (and a retain-cap trim that gets there
-    # anyway surfaces as SnapshotTooOld, answered by retrying fresher).
+    # Every commit unit — a session commit or a session auto-commit —
+    # seals the pending version-chain entries it opened with its commit
+    # seq (repro.abdm.store keeps the chains), then publishes the seq as
+    # *stable* once every earlier seq is sealed too.  A lock-free read
+    # pins the stable seq; the stores reconstruct that committed state
+    # from their chains.  The pin holds the GC watermark down so the
+    # entries the read needs cannot be trimmed out from under it (and a
+    # retain-cap trim that gets there anyway surfaces as SnapshotTooOld,
+    # answered by retrying fresher).
 
     @property
     def stable_seq(self) -> int:
@@ -522,6 +452,18 @@ class KernelDatabaseSystem:
             if self._active_snapshots:
                 return min(self._active_snapshots.values())
             return self._stable_seq
+
+    def _publish(self, files: Optional[list]) -> int:
+        """Stamp a durable commit unit's seq, seal *files* at it, and
+        publish it stable; returns the seq."""
+        if self.wal is not None:
+            self.wal.fire(CrashPoint.BEFORE_VERSION_SEAL)
+        seq = self._next_commit_seq()
+        self._seal_backends(files, seq)
+        if self.wal is not None:
+            self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
+        self._mark_stable(seq)
+        return seq
 
     def _seal_backends(self, files: Optional[list], seq: int) -> None:
         """Seal pending chain entries at *seq* on every backend (then GC)."""
@@ -578,14 +520,7 @@ class KernelDatabaseSystem:
             token, seq = self._open_snapshot()
             try:
                 with self.obs.tracer.span("kds.execute") as span:
-                    if isinstance(request, RetrieveRequest) and request.has_aggregates:
-                        trace = self._execute_aggregate(request, snapshot=seq)
-                    elif isinstance(request, RetrieveCommonRequest):
-                        trace = self._execute_common(request, snapshot=seq)
-                    else:
-                        trace = self.controller.execute(
-                            request, session=session, snapshot=seq
-                        )
+                    trace = self._dispatch(request, session, seq)
                     if span:
                         span.record(
                             simulated_ms=trace.response.total_ms,
@@ -656,11 +591,11 @@ class KernelDatabaseSystem:
         wrong; join partners may live on different backends), so both are
         evaluated at the controller from broadcast raw retrievals.
 
-        With a *session* (see :meth:`create_session`) the request runs
-        under kernel concurrency control: two-phase locks, session-owned
-        WAL transactions, and commit-order stamping.  Without one, the
-        legacy single-caller path is byte-identical to what it always
-        was.
+        The request runs on *session* (see :meth:`create_session`), or on
+        :attr:`default_session` when none is given, under kernel
+        concurrency control: two-phase locks, session-owned WAL
+        transactions, and commit-order stamping (see
+        :meth:`_execute_session`).
 
         If a worker process dies mid-request under the process engine,
         the kernel *heals* when it safely can — no transaction open
@@ -671,76 +606,37 @@ class KernelDatabaseSystem:
         as before: a half-applied transaction is only recoverable by
         full recovery.
         """
+        if session is None:
+            session = self.default_session
         try:
-            return self._execute_inner(request, session)
+            return self._execute_session(request, session)
         except WorkerCrashed:
             if not self._try_heal(session):
                 self.controller.engine.shutdown()
                 raise
             try:
-                return self._execute_inner(request, session)
+                return self._execute_session(request, session)
             except WorkerCrashed:
                 # Crashed again straight after a heal: stop retrying.
                 self.controller.engine.shutdown()
                 raise
 
-    def _execute_inner(
-        self, request: Request, session: Optional[KernelSession] = None
-    ) -> ExecutionTrace:
-        if session is not None:
-            return self._execute_session(request, session)
-        with self.obs.tracer.span("kds.execute") as span:
-            if isinstance(request, RetrieveRequest) and request.has_aggregates:
-                trace = self._execute_aggregate(request)
-            elif isinstance(request, RetrieveCommonRequest):
-                trace = self._execute_common(request)
-            else:
-                trace = self.controller.execute(request)
-            if span:
-                # The span's simulated time IS the timing model's report
-                # for this request — copied, never recomputed, so span
-                # totals stay bit-identical to the engine's clock.
-                span.record(
-                    simulated_ms=trace.response.total_ms,
-                    op=trace.result.operation,
-                    records=trace.result.count,
-                )
-        if isinstance(request, _MUTATING_REQUESTS):
-            # Legacy callers have no commit protocol of their own: each
-            # mutation is its own commit unit, so it seals the version
-            # chains under its own seq — snapshot reads from concurrent
-            # sessions then see exactly the committed prefix.
-            if self.wal is not None:
-                self.wal.fire(CrashPoint.BEFORE_VERSION_SEAL)
-            seq = self._next_commit_seq()
-            self._seal_backends(self._request_files(request), seq)
-            if self.wal is not None:
-                self.wal.fire(CrashPoint.AFTER_VERSION_SEAL)
-            self._mark_stable(seq)
-            trace.commit_seq = seq
-        with self._state_lock:
-            self.clock = self.clock + trace.response
-            self.requests_executed += 1
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.inc("kds.requests")
-            metrics.inc(f"kds.requests.{trace.result.operation.lower()}")
-            metrics.observe("kds.request.simulated_ms", trace.response.total_ms)
-            metrics.observe("kds.request.wall_ms", trace.wall_ms)
-            metrics.set_gauge("kds.requests_executed", self.requests_executed)
-        return trace
-
     def _execute_common(
-        self, request: RetrieveCommonRequest, snapshot: Optional[int] = None
+        self,
+        request: RetrieveCommonRequest,
+        session: KernelSession,
+        snapshot: Optional[int] = None,
     ) -> ExecutionTrace:
         left = self.controller.execute(
             RetrieveRequest(request.left_query),
             label=PHASE_COMMON_LEFT,
+            session=session,
             snapshot=snapshot,
         )
         right = self.controller.execute(
             RetrieveRequest(request.right_query),
             label=PHASE_COMMON_RIGHT,
+            session=session,
             snapshot=snapshot,
         )
         merged = merge_common(
@@ -787,12 +683,13 @@ class KernelDatabaseSystem:
 
         With a WAL attached, a mutating multi-request transaction maps
         onto exactly one WAL transaction (the thesis's transaction
-        boundary), unless the caller already opened one explicitly.
+        boundary) on :attr:`default_session`, unless that session
+        already has a transaction open.
         """
         mutating = any(
             isinstance(request, _MUTATING_REQUESTS) for request in transaction
         )
-        if mutating and self.wal is not None and not self.in_transaction:
+        if mutating and self.wal is not None and not self.default_session.in_transaction:
             with self.transaction():
                 return [self.execute(request) for request in transaction]
         return [self.execute(request) for request in transaction]
@@ -888,13 +785,16 @@ class KernelDatabaseSystem:
         )
 
     def _execute_aggregate(
-        self, request: RetrieveRequest, snapshot: Optional[int] = None
+        self,
+        request: RetrieveRequest,
+        session: KernelSession,
+        snapshot: Optional[int] = None,
     ) -> ExecutionTrace:
         fast = self._aggregate_from_digests(request, snapshot)
         if fast is not None:
             return fast
         raw = RetrieveRequest(request.query, (ALL_ATTRIBUTES,))
-        trace = self.controller.execute(raw, snapshot=snapshot)
+        trace = self.controller.execute(raw, session=session, snapshot=snapshot)
         projected = project(trace.result.raw_records, request)
         merged = RequestResult(
             "RETRIEVE",
@@ -931,10 +831,10 @@ class KernelDatabaseSystem:
         The batch journals as one WAL record per target backend and
         applies with one store call per backend, while simulated time,
         placement, and the resulting store state are identical to
-        inserting the records one request at a time.  With a *session*,
-        the batch runs under kernel concurrency control exactly like any
-        other mutating request (file locks, undo capture, commit-order
-        stamping).
+        inserting the records one request at a time.  The batch runs on
+        *session* (default: :attr:`default_session`) under kernel
+        concurrency control exactly like any other mutating request
+        (file locks, undo capture, commit-order stamping).
         """
         return self.execute(BulkInsertRequest(records), session=session)
 
@@ -951,12 +851,12 @@ class KernelDatabaseSystem:
 
     # -- farm healing ------------------------------------------------------------
 
-    def _try_heal(self, session: Optional[KernelSession]) -> bool:
+    def _try_heal(self, session: KernelSession) -> bool:
         """Heal a crashed worker farm if it is safe; False otherwise.
 
         Safe means: durable state exists (a WAL is attached), and no
-        transaction is open anywhere — not the legacy slot, not the
-        calling session, not any concurrent session's WAL transaction.
+        transaction is open anywhere — not the calling session's, not
+        any concurrent session's WAL transaction.
         A mid-transaction crash cannot be healed in place, because the
         surviving workers may already hold applies from the doomed
         transaction; only the typed error and full recovery are sound.
@@ -966,9 +866,7 @@ class KernelDatabaseSystem:
             return False
         if not getattr(engine, "can_respawn", False):
             return False
-        if self.wal is None or self.in_transaction:
-            return False
-        if session is not None and session.in_transaction:
+        if self.wal is None or session.in_transaction:
             return False
         if self.wal.has_open_transactions:
             return False
@@ -1005,7 +903,7 @@ class KernelDatabaseSystem:
             )
         if self.wal is None:
             raise WalError("farm healing needs an attached WAL")
-        if self.in_transaction or self.wal.has_open_transactions:
+        if self.wal.has_open_transactions:
             raise WalError("cannot heal the farm with a transaction open")
         io_lock = getattr(engine, "_io_lock", None)
         lock_ctx = io_lock if io_lock is not None else threading.RLock()

@@ -25,6 +25,12 @@ Transaction-scoped fields:
 * ``placed`` — ``(file_name, backend_id)`` for every routed INSERT, so
   an abort can also roll back placement-policy counters (keeping future
   placement identical to a history in which the transaction never ran).
+* ``delta`` — ``backend_id -> net record-count change`` of the
+  transaction's applied requests, written on its commit record as the
+  recovery checksum.
+
+Every kernel caller runs on a session: the KDS owns one
+``default_session`` for callers that name none.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ class KernelSession:
     undo: Dict[Tuple[int, str], list] = field(default_factory=dict)
     wildcard_backends: Set[int] = field(default_factory=set)
     placed: List[Tuple[Optional[str], int]] = field(default_factory=list)
+    delta: Dict[int, int] = field(default_factory=dict)
     #: Lifetime accounting (the server's quota bookkeeping reads these).
     requests_executed: int = 0
     commits: int = 0
@@ -57,6 +64,7 @@ class KernelSession:
         self.undo = {}
         self.wildcard_backends = set()
         self.placed = []
+        self.delta = {}
 
     def __repr__(self) -> str:
         state = "in txn" if self.in_transaction else "idle"

@@ -2,17 +2,19 @@
 
 The thesis frames every user interaction as a *transaction* against the
 kernel (LIL -> KMS -> KC -> KDS); this package makes those transactions
-durable.  Every mutating kernel request (INSERT / DELETE / UPDATE) is
-journaled to a per-backend append-only JSONL log **before** it is
-applied, grouped under explicit transaction boundaries recorded in a
-master log; single requests auto-commit as one-request transactions, and
-multi-request kernel transactions map one-to-one onto WAL transactions.
+durable.  Every mutating kernel request (INSERT / BULK-INSERT / DELETE
+/ UPDATE) is journaled to a per-backend append-only JSONL log **before**
+it is applied, grouped under transaction boundaries recorded in a master
+log.  Every WAL transaction is owned by one kernel session: a request
+outside a session transaction auto-commits as a one-request transaction,
+and a multi-request session transaction maps one-to-one onto a WAL
+transaction.
 
 Modules:
 
 * :mod:`repro.wal.codec` — exact JSON encoding of the mutating requests;
 * :mod:`repro.wal.log` — :class:`WalManager`: segments, sequence
-  numbers, transaction records, record-count checksums;
+  numbers, owned transaction records, record-count delta checksums;
 * :mod:`repro.wal.reader` — crash-tolerant parsing of whatever a dying
   system left on disk;
 * :mod:`repro.wal.recovery` — :func:`recover_mlds` (snapshot + redo of

@@ -3,7 +3,7 @@ transaction log.
 
 Layout of a WAL directory (one per MLDS instance)::
 
-    wal-meta.json               {"format": 1, "backend_count": N, "segment": s}
+    wal-meta.json               {"format": 2, "backend_count": N, "segment": s}
     master-000000.jsonl         begin / commit / abort records
     backend-000-000000.jsonl    op records journaled for backend 0
     backend-001-000000.jsonl    ...
@@ -11,18 +11,19 @@ Layout of a WAL directory (one per MLDS instance)::
 
 Every mutating kernel request (INSERT / BULK-INSERT / DELETE / UPDATE)
 is journaled to the log of each backend that will apply it **before** it
-is applied,
-tagged with the surrounding transaction id and a per-backend monotonic
-sequence number.  Transaction boundaries live in the master log: the
-controller is MBDS's single master, so one ``commit`` record there is the
-atomic commit point for the whole farm — a transaction whose commit
-record is absent (crash before commit, or explicit abort) is discarded
-wholesale by recovery, which is what makes multi-backend mutations
-atomic.  Commit records carry the per-backend record counts observed
-after the transaction applied; recovery re-checks them after replay, so
-a torn backend log or a non-deterministic replay is detected rather than
-silently producing a different database (the segment record-count
-checksum).
+is applied, tagged with the surrounding transaction id and a per-backend
+monotonic sequence number.  Every transaction is owned by one kernel
+session (see :mod:`repro.mbds.sessions`).  Transaction boundaries live in
+the master log: the controller is MBDS's single master, so one
+``commit`` record there is the atomic commit point for the whole farm —
+a transaction whose commit record is absent (crash before commit, or
+explicit abort) is discarded wholesale by recovery, which is what makes
+multi-backend mutations atomic.  Commit records carry the transaction's
+per-backend record-count *delta* (records inserted minus records
+deleted); recovery re-checks that replaying the transaction changed the
+farm by exactly that much, so a torn backend log or a non-deterministic
+replay is detected rather than silently producing a different database
+(the record-count checksum).
 
 Checkpoints (see :mod:`repro.wal.recovery`) write a snapshot and then
 call :meth:`WalManager.start_new_segment`, which bumps the segment
@@ -42,7 +43,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Mapping, Optional, Union
 
 from repro.abdl.ast import BulkInsertRequest, Request
 from repro.errors import WalError
@@ -55,7 +56,8 @@ META_NAME = "wal-meta.json"
 #: Snapshot written by :func:`repro.wal.recovery.checkpoint_mlds`.
 CHECKPOINT_NAME = "checkpoint.mlds.json"
 #: On-disk WAL format version (independent of the snapshot format).
-WAL_FORMAT = 1
+#: Format 2 commit records carry a per-backend record-count ``delta``.
+WAL_FORMAT = 2
 
 
 def master_segment_name(segment: int) -> str:
@@ -114,7 +116,7 @@ class _GroupBatch:
 
     def __init__(self) -> None:
         #: (commit record sans seq, txn id, owner) per staged committer.
-        self.entries: list[tuple[dict, int, Optional[str]]] = []
+        self.entries: list[tuple[dict, int, str]] = []
         self.done = threading.Event()
         self.error: Optional[BaseException] = None
 
@@ -137,7 +139,7 @@ class _GroupCommitCoordinator:
         self._lock = threading.Lock()
         self._batch: Optional[_GroupBatch] = None
 
-    def join(self, entry: tuple[dict, int, Optional[str]]) -> tuple[_GroupBatch, bool]:
+    def join(self, entry: tuple[dict, int, str]) -> tuple[_GroupBatch, bool]:
         """Stage *entry* into the open batch; returns (batch, is_leader)."""
         with self._lock:
             batch = self._batch
@@ -158,21 +160,14 @@ class _GroupCommitCoordinator:
 class WalManager:
     """Owns one WAL directory: journaling, transactions, segments.
 
-    Transactions come in two flavors sharing one log:
-
-    * the **legacy single slot** — ``begin()`` with no owner, the
-      original one-caller-at-a-time protocol.  At most one such
-      transaction is open, and ``log_op``/``commit``/``abort`` without
-      an explicit ``txn`` operate on it.
-    * **owned transactions** — ``begin(owner=...)`` tags the begin
-      record with a session owner and returns a txn id the session
-      threads through ``log_op(..., txn=...)`` and
-      ``commit(txn=...)``/``abort(txn=...)``.  Any number may be open
-      at once (one per owner), their ops interleaving freely in the
-      backend streams; the single master ``commit`` record remains each
-      transaction's atomic commit point, so interleaved commits from
-      different sessions stay atomic and recovery never replays an
-      uncommitted session's writes.
+    Every transaction is owned: ``begin(owner)`` tags the begin record
+    with a kernel session's name and returns a txn id the session
+    threads through ``log_op(..., txn=...)`` and ``commit(txn, ...)`` /
+    ``abort(txn)``.  Any number may be open at once (one per owner),
+    their ops interleaving freely in the backend streams; the single
+    master ``commit`` record remains each transaction's atomic commit
+    point, so interleaved commits from different sessions stay atomic
+    and recovery never replays an uncommitted session's writes.
 
     An internal lock serializes appends and counter updates, so many
     kernel sessions can journal concurrently.
@@ -229,11 +224,9 @@ class WalManager:
             self._write_meta()
 
         self._open_writers()
-        #: Id of the currently open legacy (unowned) transaction, or None.
-        self._txn: Optional[int] = None
-        #: Every open transaction id -> owner (None for the legacy slot).
-        self._open: dict[int, Optional[str]] = {}
-        #: Owner -> its open transaction id (owned transactions only).
+        #: Every open transaction id -> its owner.
+        self._open: dict[int, str] = {}
+        #: Owner -> its open transaction id.
         self._owner_txn: dict[str, int] = {}
         #: Serializes appends and counters across concurrent sessions.
         self._mutex = threading.RLock()
@@ -287,41 +280,25 @@ class WalManager:
     # -- transactions ----------------------------------------------------------
 
     @property
-    def in_transaction(self) -> bool:
-        """Is the legacy (unowned) transaction slot occupied?"""
-        return self._txn is not None
-
-    @property
     def has_open_transactions(self) -> bool:
-        """Is *any* transaction — legacy or session-owned — still open?"""
+        """Is any transaction still open?"""
         with self._mutex:
             return bool(self._open)
-
-    @property
-    def current_txn(self) -> Optional[int]:
-        return self._txn
 
     def open_owners(self) -> list[str]:
         """Owners with a transaction currently open (sorted, for errors)."""
         with self._mutex:
             return sorted(self._owner_txn)
 
-    def begin(self, owner: Optional[str] = None) -> int:
-        """Open a transaction; journaled ops group under it until commit.
+    def begin(self, owner: str) -> int:
+        """Open *owner*'s transaction; its ops group under it until commit.
 
-        With no *owner* this is the legacy single-slot protocol: a second
-        unowned ``begin`` raises.  With an *owner* (a kernel session
-        name) any number of transactions may be open concurrently, one
-        per owner; thread the returned txn id through ``log_op`` /
-        ``commit`` / ``abort``.
+        Any number of transactions may be open concurrently, one per
+        owner (a kernel session name); thread the returned txn id through
+        ``log_op`` / ``commit`` / ``abort``.
         """
         with self._mutex:
-            if owner is None:
-                if self._txn is not None:
-                    raise WalError(
-                        f"transaction {self._txn} is already open (no nesting)"
-                    )
-            elif owner in self._owner_txn:
+            if owner in self._owner_txn:
                 raise WalError(
                     f"session {owner!r} already has transaction "
                     f"{self._owner_txn[owner]} open (no nesting)"
@@ -329,36 +306,23 @@ class WalManager:
             txn = self._next_txn
             self._next_txn += 1
             self._master_seq += 1
-            record = {"seq": self._master_seq, "type": "begin", "txn": txn}
-            if owner is not None:
-                record["owner"] = owner
-            self._master.append(record)
+            self._master.append(
+                {"seq": self._master_seq, "type": "begin", "txn": txn, "owner": owner}
+            )
             self._open[txn] = owner
-            if owner is None:
-                self._txn = txn
-            else:
-                self._owner_txn[owner] = txn
+            self._owner_txn[owner] = txn
             return txn
 
-    def _resolve(self, txn: Optional[int], verb: str) -> int:
-        """Map an explicit or legacy-implicit txn id to an open txn."""
-        if txn is None:
-            if self._txn is None:
-                raise WalError(f"no open transaction to {verb}")
-            return self._txn
+    def _check_open(self, txn: int, verb: str) -> None:
         if txn not in self._open:
             raise WalError(f"transaction {txn} is not open (cannot {verb})")
-        return txn
 
-    def log_op(
-        self, backend_id: int, request: Request, txn: Optional[int] = None
-    ) -> int:
-        """Journal *request* for *backend_id* under a transaction.
+    def log_op(self, backend_id: int, request: Request, txn: int) -> int:
+        """Journal *request* for *backend_id* under transaction *txn*.
 
         Must be called before the backend applies the request — that is
-        the "write-ahead" in write-ahead log.  With no *txn* the legacy
-        slot is used.  Returns the op's sequence number in the backend's
-        stream.
+        the "write-ahead" in write-ahead log.  Returns the op's sequence
+        number in the backend's stream.
         """
         if not is_mutating(request):
             raise WalError("only mutating requests are journaled")
@@ -368,7 +332,7 @@ class WalManager:
         with obs.tracer.span("wal.append") as span:
             start = time.perf_counter() if obs.enabled else 0.0
             with self._mutex:
-                txn = self._resolve(txn, "journal under")
+                self._check_open(txn, "journal under")
                 self.injector.fire(CrashPoint.BEFORE_LOG_APPEND)
                 seq = self._backend_seq[backend_id] + 1
                 self._backend_seq[backend_id] = seq
@@ -385,9 +349,7 @@ class WalManager:
             )
         return seq
 
-    def log_bulk(
-        self, backend_id: int, request: BulkInsertRequest, txn: Optional[int] = None
-    ) -> int:
+    def log_bulk(self, backend_id: int, request: BulkInsertRequest, txn: int) -> int:
         """Journal a batch of inserts for *backend_id* as ONE WAL record.
 
         The whole batch is a single JSON line in the backend's stream —
@@ -404,7 +366,7 @@ class WalManager:
         with obs.tracer.span("wal.bulk_append") as span:
             start = time.perf_counter() if obs.enabled else 0.0
             with self._mutex:
-                txn = self._resolve(txn, "journal under")
+                self._check_open(txn, "journal under")
                 self.injector.fire(CrashPoint.BEFORE_BULK_APPEND)
                 seq = self._backend_seq[backend_id] + 1
                 self._backend_seq[backend_id] = seq
@@ -427,33 +389,31 @@ class WalManager:
             )
         return seq
 
-    def commit(
-        self, counts: Optional[list[int]] = None, txn: Optional[int] = None
-    ) -> None:
+    def commit(self, txn: int, delta: Mapping[int, int]) -> None:
         """Write the commit record — the transaction's atomic commit point.
 
-        *counts* are the per-backend record counts observed after the
-        transaction applied; recovery re-checks them after replay.  They
-        are only meaningful for the legacy single-writer protocol —
-        session-owned commits pass ``None`` (other sessions may be
-        mutating the farm concurrently, so no per-commit count is
-        stable) and recovery skips the checksum for those transactions.
+        *delta* maps backend id to the net record-count change the
+        transaction's requests made there (inserts minus deletes; absent
+        backends changed by 0).  Each transaction's delta is its own, so
+        it stays exact while other sessions commit concurrently;
+        recovery re-checks it after replaying the transaction.
         """
         obs = self.obs
-        staged: Optional[tuple[dict, int, Optional[str]]] = None
+        staged: Optional[tuple[dict, int, str]] = None
         with obs.tracer.span("wal.commit") as span:
             start = time.perf_counter() if obs.enabled else 0.0
             with self._mutex:
-                txn = self._resolve(txn, "commit")
-                if counts is not None and len(counts) != self.backend_count:
-                    raise WalError("commit counts must cover every backend")
+                self._check_open(txn, "commit")
+                if any(not 0 <= b < self.backend_count for b in delta):
+                    raise WalError("commit delta names a backend outside this WAL")
                 self.injector.fire(CrashPoint.BEFORE_COMMIT)
-                record: dict = {"type": "commit", "txn": txn}
-                if counts is not None:
-                    record["counts"] = list(counts)
                 owner = self._open[txn]
-                if owner is not None:
-                    record["owner"] = owner
+                record: dict = {
+                    "type": "commit",
+                    "txn": txn,
+                    "delta": [delta.get(b, 0) for b in range(self.backend_count)],
+                    "owner": owner,
+                }
                 if self._group is None:
                     self._master_seq += 1
                     self._master.append({"seq": self._master_seq, **record})
@@ -520,25 +480,21 @@ class WalManager:
         finally:
             batch.done.set()
 
-    def abort(self, txn: Optional[int] = None) -> None:
+    def abort(self, txn: int) -> None:
         """Mark an open transaction discarded (recovery will skip its ops)."""
         with self._mutex:
-            txn = self._resolve(txn, "abort")
+            self._check_open(txn, "abort")
             self._master_seq += 1
-            record = {"seq": self._master_seq, "type": "abort", "txn": txn}
             owner = self._open[txn]
-            if owner is not None:
-                record["owner"] = owner
-            self._master.append(record)
+            self._master.append(
+                {"seq": self._master_seq, "type": "abort", "txn": txn, "owner": owner}
+            )
             self._forget(txn, owner)
         self.obs.metrics.inc("wal.aborts")
 
-    def _forget(self, txn: int, owner: Optional[str]) -> None:
+    def _forget(self, txn: int, owner: str) -> None:
         del self._open[txn]
-        if owner is None:
-            self._txn = None
-        else:
-            del self._owner_txn[owner]
+        del self._owner_txn[owner]
 
     # -- crash points ----------------------------------------------------------
 

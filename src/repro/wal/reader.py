@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import WalError
-from repro.wal.log import META_NAME
+from repro.wal.log import META_NAME, WAL_FORMAT
 
 _MASTER_PATTERN = re.compile(r"^master-(\d{6})\.jsonl$")
 _BACKEND_PATTERN = re.compile(r"^backend-(\d{3})-(\d{6})\.jsonl$")
@@ -47,10 +47,11 @@ class WalTransaction:
 
     txn: int
     status: str = "open"  # 'open' | 'committed' | 'aborted'
-    counts: Optional[list[int]] = None
+    #: Per-backend record-count change its commit record promises.
+    delta: list[int] = field(default_factory=list)
     #: backend id -> ops journaled for it, in sequence order.
     ops: dict[int, list[WalOp]] = field(default_factory=dict)
-    #: Owning session name, or None for legacy single-slot transactions.
+    #: Owning session name (None until a begin/commit/abort names it).
     owner: Optional[str] = None
 
 
@@ -127,6 +128,11 @@ def read_backend_count(directory: Union[str, Path]) -> int:
     if not meta_path.exists():
         raise WalError(f"{directory} is not a WAL directory (no {META_NAME})")
     meta = json.loads(meta_path.read_text())
+    if meta.get("format") != WAL_FORMAT:
+        raise WalError(
+            f"WAL format {meta.get('format')!r} is not supported "
+            f"(expected {WAL_FORMAT})"
+        )
     return int(meta["backend_count"])
 
 
@@ -154,11 +160,7 @@ def read_wal(directory: Union[str, Path], backend_count: Optional[int] = None) -
             pass
         elif kind == "commit":
             transaction.status = "committed"
-            # Session-owned commits carry no counts (concurrent commits
-            # cannot know the farm-wide distribution); keep None so the
-            # recovery checksum knows not to verify.
-            counts = record.get("counts")
-            transaction.counts = None if counts is None else list(counts)
+            transaction.delta = list(record["delta"])
             committed.append(transaction)
             # Session-owned transactions can commit out of id order; the
             # watermark is the *highest* committed id (checkpoints only

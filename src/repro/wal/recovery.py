@@ -9,8 +9,9 @@ snapshot plus the WAL tail.  The protocol is the classic redo-only one:
 2. replay every *committed* transaction above the watermark, backend by
    backend in journal order, directly against the backend stores (no
    timing is charged — recovery is not a workload);
-3. verify each replayed transaction's record-count checksum (the
-   per-backend counts its commit record captured);
+3. verify each replayed transaction's record-count checksum: replaying
+   it must change every backend's record count by exactly the delta its
+   commit record carries;
 4. discard everything else: transactions with no commit record (the
    crash beat the commit) and explicitly aborted ones are never applied.
 
@@ -56,8 +57,11 @@ def replay_committed(
     """Redo every committed transaction above *after_txn* onto *controller*.
 
     Returns the number of transactions replayed.  Raises
-    :class:`~repro.errors.WalError` when a replayed transaction's
-    record-count checksum does not match the recovered farm.
+    :class:`~repro.errors.WalError` when replaying a transaction does not
+    change the farm's per-backend record counts by exactly its commit
+    record's delta (the record-count checksum).  The running
+    distribution is carried forward, so the check costs one
+    ``distribution()`` per transaction.
     """
     # Keep placement state consistent with the restored contents, so
     # post-recovery inserts land (and routed requests go) exactly where
@@ -66,9 +70,12 @@ def replay_committed(
     observe_replay = getattr(controller.placement, "observe_replay", None)
 
     replayed = 0
+    counts: Optional[list[int]] = None
     for transaction in view.committed:
         if transaction.txn <= after_txn:
             continue
+        if counts is None:
+            counts = controller.distribution()
         for backend_id in sorted(transaction.ops):
             if backend_id >= controller.backend_count:
                 raise WalError(
@@ -81,14 +88,13 @@ def replay_committed(
                 backend.replay(request)
                 if observe_replay is not None:
                     observe_replay(request, backend_id, controller.backend_count)
-        if transaction.counts:
-            observed = controller.distribution()
-            if observed != transaction.counts:
-                raise WalError(
-                    f"record-count checksum mismatch replaying transaction "
-                    f"{transaction.txn}: expected {transaction.counts}, "
-                    f"got {observed}"
-                )
+        expected = [count + change for count, change in zip(counts, transaction.delta)]
+        counts = controller.distribution()
+        if counts != expected:
+            raise WalError(
+                f"record-count checksum mismatch replaying transaction "
+                f"{transaction.txn}: expected {expected}, got {counts}"
+            )
         replayed += 1
     controller.invalidate_summaries()
     return replayed

@@ -18,7 +18,7 @@ from repro.abdm.directory import Directory
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.record import Record
 from repro.ipc import codec
-from repro.mbds.backend import BackendImage, BackendResult
+from repro.mbds.backend import BackendResult
 from repro.mbds.summary import AttributeRange, BackendSummary, FileSummary
 from repro.mbds.timing import TimingModel
 from repro.obs.trace import Span
@@ -104,18 +104,6 @@ class TestRecordsAndResults:
 
 
 class TestImagesSummariesDigests:
-    def test_image_roundtrips(self):
-        image = BackendImage(
-            [Record.from_pairs([("FILE", "f"), ("x", 1)], text="t")],
-            examined=4,
-            touched=2,
-            index_hits=1,
-            range_hits=0,
-            fallback_scans=1,
-        )
-        decoded = codec.decode_image(through_json(codec.encode_image(image)))
-        assert decoded == image
-
     def test_summary_roundtrips_minus_directory(self):
         summary = BackendSummary(
             frozenset({"f"}),

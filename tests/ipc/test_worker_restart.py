@@ -68,6 +68,7 @@ class TestTransparentHeal:
 
     def test_mutations_after_heal_are_durable(self, durable):
         kill_backend(durable, 2)
+        retrieve_all(durable.kds)  # the first request to reach it heals
         durable.kds.execute(insert("f", a=100))
         healed = farm_image(durable)
         assert sum(len(rows) for rows in healed) == 10
@@ -82,8 +83,11 @@ class TestTransparentHeal:
 
     def test_healed_farm_matches_never_crashed_farm(self, durable, tmp_path):
         kill_backend(durable, 1)
+        # Both inserts route to backend 0 and commit while backend 1 is
+        # dead; the read reaches it, heals, and replays them.
         durable.kds.execute(insert("f", a=50))
         durable.kds.execute(insert("g", b=1))
+        retrieve_all(durable.kds)
 
         reference = MLDS(backend_count=3, wal=tmp_path / "ref")
         for i in range(9):
@@ -127,7 +131,7 @@ class TestTransparentHeal:
 
 class TestHealIneligible:
     def test_mid_transaction_crash_keeps_typed_error(self, durable):
-        durable.kds.begin_transaction()
+        durable.kds.session_begin(durable.kds.default_session)
         durable.kds.execute(insert("f", a=200))
         kill_backend(durable, 1)
         with pytest.raises(WorkerCrashed) as exc:

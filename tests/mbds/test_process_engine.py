@@ -193,9 +193,9 @@ class TestProcessEnginePersistence:
         for i in range(4):
             mlds.kds.execute(parse_request(f"INSERT (<FILE, f>, <f, f${i}>)"))
         before = [b.store.snapshot() for b in mlds.kds.controller.backends]
-        mlds.kds.begin_transaction()
+        mlds.kds.session_begin(mlds.kds.default_session)
         mlds.kds.execute(parse_request("DELETE (FILE = f)"))
-        mlds.kds.abort_transaction()
+        mlds.kds.session_abort(mlds.kds.default_session)
         assert [
             b.store.snapshot() for b in mlds.kds.controller.backends
         ] == before

@@ -32,11 +32,14 @@ def image(kds):
 
 
 @pytest.fixture()
-def kds():
-    kds = KernelDatabaseSystem(backend_count=3)
+def kds(request):
+    """A seeded kernel on the test class's ``engine`` (serial by default)."""
+    engine = getattr(request.cls, "engine", "serial")
+    kds = KernelDatabaseSystem(backend_count=3, engine=engine)
     for i in range(6):
         kds.execute(insert("f", a=i))
-    return kds
+    yield kds
+    kds.shutdown()
 
 
 class TestAutoCommit:
@@ -127,6 +130,9 @@ class TestTransactions:
 
 
 class TestAbortUndo:
+    """File-level undo, on the serial engine; the subclasses below rerun
+    every case on the thread-pool and process engines."""
+
     def test_abort_restores_preimage(self, kds):
         before = image(kds)
         session = kds.create_session()
@@ -151,7 +157,7 @@ class TestAbortUndo:
         kds.session_abort(session)
         assert image(kds) == before
         assert all(
-            not backend.store.has_file("fresh")
+            "fresh" not in backend.file_names()
             for backend in kds.controller.backends
         )
 
@@ -199,6 +205,14 @@ class TestAbortUndo:
         with kds.session_transaction(session):
             kds.execute(insert("f", a=100), session=session)
         assert kds.record_count() == 7
+
+
+class TestAbortUndoThreads(TestAbortUndo):
+    engine = "threads"
+
+
+class TestAbortUndoProcess(TestAbortUndo):
+    engine = "process"
 
 
 class TestConcurrentSessions:

@@ -37,11 +37,12 @@ def kds():
 
 class TestSnapshotPath:
     def test_session_retrieve_takes_no_locks(self, kds):
+        acquired = kds.locks.stats()["acquired"]  # the seeding inserts' locks
         session = kds.create_session()
         trace = kds.execute(retrieve("RETRIEVE (FILE = f) (*)"), session=session)
         assert trace.result.count == 6
         assert trace.snapshot_seq == kds.stable_seq
-        assert kds.locks.stats()["acquired"] == 0
+        assert kds.locks.stats()["acquired"] == acquired
         assert kds.obs.metrics.counter_value("kds.snapshot_reads") == 1
 
     def test_snapshot_read_does_not_block_on_a_writers_x_lock(self, kds):
@@ -91,6 +92,7 @@ class TestSnapshotPath:
         assert kds.locks.stats()["acquired"] > 0
 
     def test_aggregates_and_common_take_the_snapshot_path(self, kds):
+        acquired = kds.locks.stats()["acquired"]  # the seeding inserts' locks
         session = kds.create_session()
         agg = kds.execute(
             retrieve("RETRIEVE (FILE = f) (COUNT(*))"), session=session
@@ -101,7 +103,7 @@ class TestSnapshotPath:
             session=session,
         )
         assert common.snapshot_seq is not None
-        assert kds.locks.stats()["acquired"] == 0
+        assert kds.locks.stats()["acquired"] == acquired
 
     def test_stable_seq_advances_only_over_contiguous_commits(self, kds):
         base = kds.stable_seq
@@ -114,6 +116,27 @@ class TestSnapshotPath:
         kds.session_commit(second)
         kds.session_commit(first)
         assert kds.stable_seq == base + 2
+
+
+class TestDefaultSession:
+    def test_uncommitted_default_session_insert_is_invisible(self, kds):
+        # A session-less caller's transaction runs on the kernel's default
+        # session, so its writes stay out of every snapshot until commit.
+        reader = kds.create_session("reader")
+        read = retrieve("RETRIEVE (FILE = f) (a)")
+
+        def values(trace):
+            return sorted(record.get("a") for record in trace.result.records)
+
+        with pytest.raises(RuntimeError):
+            with kds.transaction():
+                kds.execute(insert("f", a=100))
+                during = kds.execute(read, session=reader)
+                raise RuntimeError("abort the transaction")
+        after = kds.execute(read, session=reader)
+        assert values(during) == list(range(6))
+        assert after.snapshot_seq == during.snapshot_seq
+        assert values(after) == values(during)
 
 
 class TestSnapshotAnomalies:

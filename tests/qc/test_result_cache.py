@@ -139,13 +139,13 @@ class TestInvalidation:
         from repro.abdm.record import Record
 
         backend = mlds.kds.controller.backends[0]
-        image = backend.capture_image()
+        image = backend.capture_file("alpha")
         backend.store.insert(
             Record.from_pairs([("FILE", "alpha"), ("n", 100), ("parity", 0)])
         )
         with_row = result_image(mlds.kds.execute(retrieve(*REQ)))  # caches n=100
         assert any(dict(pairs).get("n") == 100 for pairs, _ in with_row)
-        backend.restore_image(image)  # abort path: clear + reinsert
+        backend.restore_file("alpha", image)  # abort path: file-level undo
         after = result_image(mlds.kds.execute(retrieve(*REQ)))
         assert all(dict(pairs).get("n") != 100 for pairs, _ in after)
 

@@ -39,8 +39,8 @@ class TestOwnedTransactionLog:
         wal.log_op(0, insert("f", a=1), txn=t_a)
         wal.log_op(1, insert("g", b=2), txn=t_b)
         wal.log_op(0, insert("f", a=3), txn=t_a)
-        wal.commit(txn=t_b)
-        wal.commit(txn=t_a)
+        wal.commit(t_b, {1: 1})
+        wal.commit(t_a, {0: 2})
         wal.close()
         view = read_wal(tmp_path / "wal")
         assert [t.owner for t in view.committed] == ["bob", "alice"]
@@ -56,9 +56,9 @@ class TestOwnedTransactionLog:
         t_b = wal.begin(owner="bob")
         assert t_b > t_a
         wal.log_op(0, insert("f", a=1), txn=t_b)
-        wal.commit(txn=t_b)
+        wal.commit(t_b, {0: 1})
         wal.log_op(0, insert("f", a=2), txn=t_a)
-        wal.commit(txn=t_a)
+        wal.commit(t_a, {0: 1})
         assert wal.last_committed_txn == t_b
         wal.close()
         assert read_wal(tmp_path / "wal").last_committed_txn == t_b
@@ -67,10 +67,12 @@ class TestOwnedTransactionLog:
         wal = WalManager(tmp_path / "wal", 2)
         txn = wal.begin(owner="alice")
         wal.log_op(0, insert("f", a=1), txn=txn)
-        wal.commit(txn=txn)
+        wal.commit(txn, {0: 1})
         wal.close()
         view = read_wal(tmp_path / "wal")
-        assert view.committed[0].counts is None
+        # No farm-wide counts (concurrent sessions make them unstable):
+        # the commit carries only this transaction's own delta.
+        assert view.committed[0].delta == [1, 0]
 
     def test_one_open_transaction_per_owner(self, tmp_path):
         wal = WalManager(tmp_path / "wal", 1)
@@ -84,7 +86,7 @@ class TestOwnedTransactionLog:
         wal = WalManager(tmp_path / "wal", 1)
         txn = wal.begin(owner="alice")
         wal.log_op(0, insert("f", a=MARKER), txn=txn)
-        wal.abort(txn=txn)
+        wal.abort(txn)
         wal.close()
         view = read_wal(tmp_path / "wal")
         assert view.committed == []
@@ -207,9 +209,9 @@ def test_recovery_never_replays_the_uncommitted_session(tmp_path, point):
 class TestAutoCommitApplyFailure:
     """A journaled request whose *apply* fails must abort its WAL txn.
 
-    Without the abort the auto-commit slot (the session's owner slot or
-    the legacy single slot) stays occupied forever: the next mutation
-    raises WalError and checkpointing is wedged.
+    Without the abort the auto-commit slot (the session's owner slot,
+    the default session's included) stays occupied forever: the next
+    mutation raises WalError and checkpointing is wedged.
     """
 
     def _failing_apply(self, mlds, exc):
@@ -268,11 +270,11 @@ class TestAutoCommitApplyFailure:
         )
         try:
             with pytest.raises(ExecutionError):
-                mlds.kds.execute(insert("f", a=7))
+                mlds.kds.execute(insert("f", a=7))  # on the default session
         finally:
             engine.execute_one = original
-        assert not mlds.kds.wal.in_transaction
-        mlds.kds.execute(insert("f", a=8))  # the slot is free again
+        assert mlds.kds.default_session.owner not in mlds.kds.wal.open_owners()
+        mlds.kds.execute(insert("f", a=8))  # the owner slot is free again
         mlds.kds.shutdown()
 
     def test_failed_autocommit_is_aborted_on_the_log(self, tmp_path):

@@ -36,13 +36,11 @@ EXPECTED = {
     CrashPoint.AFTER_APPLY: "pre",
     CrashPoint.BEFORE_COMMIT: "pre",
     CrashPoint.BEFORE_GROUP_FSYNC: "pre",
-    # The version-seal points fire per mutating request; this harness's
-    # transaction is still open at its first mutation's seal, so the
-    # commit record was never written and the transaction is lost.
-    # (The session matrix in test_concurrent_transactions covers the
-    # post-commit firing inside session_commit.)
-    CrashPoint.BEFORE_VERSION_SEAL: "pre",
-    CrashPoint.AFTER_VERSION_SEAL: "pre",
+    # The transaction runs on the kernel's default session, whose commit
+    # seals the version chains only after the commit record is durable:
+    # dying mid-seal loses in-memory MVCC bookkeeping, never the commit.
+    CrashPoint.BEFORE_VERSION_SEAL: "post",
+    CrashPoint.AFTER_VERSION_SEAL: "post",
     CrashPoint.AFTER_GROUP_FSYNC: "post",
     CrashPoint.AFTER_COMMIT: "post",
     CrashPoint.BEFORE_CHECKPOINT: "post",

@@ -109,11 +109,12 @@ class TestSharedFsyncIndependence:
         wal.log_op(1, insert("fb", b=2), txn=t_b)
         barrier = threading.Barrier(2)
         errors = []
+        deltas = {t_a: {0: 1}, t_b: {1: 1}}
 
         def commit(txn):
             barrier.wait()
             try:
-                wal.commit(txn=txn)
+                wal.commit(txn, deltas[txn])
             except BaseException as exc:  # noqa: BLE001 - collected for asserts
                 errors.append(exc)
 
@@ -211,7 +212,7 @@ class TestCoordinator:
         wal = WalManager(tmp_path / "wal", 1, group_window_ms=0.0)
         txn = wal.begin(owner="alice")
         wal.log_op(0, insert("f", a=1), txn=txn)
-        wal.commit(txn=txn)
+        wal.commit(txn, {0: 1})
         wal.close()
         assert [t.owner for t in read_wal(tmp_path / "wal").committed] == ["alice"]
 
@@ -222,9 +223,9 @@ class TestCoordinator:
         for i in range(5):
             txn = wal.begin(owner=f"o{i}")
             wal.log_op(0, insert("f", a=i), txn=txn)
-            wal.commit(txn=txn)
+            wal.commit(txn, {0: 1})
         aborted = wal.begin(owner="quitter")
-        wal.abort(txn=aborted)
+        wal.abort(aborted)
         wal.close()
         view = read_wal(tmp_path / "wal")  # raises on non-monotonic seqs
         assert len(view.committed) == 5
@@ -235,7 +236,7 @@ class TestCoordinator:
         wal.bind_obs(obs)
         txn = wal.begin(owner="alice")
         wal.log_op(0, insert("f", a=1), txn=txn)
-        wal.commit(txn=txn)
+        wal.commit(txn, {0: 1})
         wal.close()
         registry = obs.metrics.as_dict()
         assert "wal.group_commits" not in registry

@@ -80,7 +80,7 @@ def test_uncommitted_tail_is_discarded(tmp_path):
     mlds.kds.execute(insert("f", a=1))
     pre = farm_image(mlds)
     # an explicit transaction the crash beats to the commit record
-    mlds.kds.begin_transaction()
+    mlds.kds.session_begin(mlds.kds.default_session)
     mlds.kds.execute(insert("f", a=2))
     mlds.kds.execute(insert("f", a=3))
     mlds.kds.controller.wal.close()  # the plug is pulled; no commit record
@@ -123,6 +123,21 @@ def test_missing_journaled_op_fails_the_count_checksum(tmp_path):
         mlds.kds.execute(insert("f", a=2))
     mlds.kds.shutdown()
     # drop the second (still well-formed) op line from the backend log
+    log = wal_dir / backend_segment_name(0, 0)
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(WalError, match="checksum"):
+        recover_mlds(wal_dir)
+
+
+def test_missing_journaled_op_fails_the_count_checksum_on_a_session_commit(tmp_path):
+    wal_dir = tmp_path / "wal"
+    mlds = MLDS(backend_count=1, wal=wal_dir)
+    session = mlds.kds.create_session("writer")
+    with mlds.kds.session_transaction(session):
+        mlds.kds.execute(insert("f", a=1), session=session)
+        mlds.kds.execute(insert("f", a=2), session=session)
+    mlds.kds.shutdown()
     log = wal_dir / backend_segment_name(0, 0)
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines[:-1]) + "\n")

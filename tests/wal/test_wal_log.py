@@ -34,7 +34,8 @@ def test_journal_records_land_before_any_apply(tmp_path):
     assert len(view.committed) == 1
     ops = sum(len(ops) for ops in view.committed[0].ops.values())
     assert ops == 1
-    assert view.committed[0].counts == mlds.kds.controller.distribution()
+    # from an empty farm, the transaction's delta is the whole distribution
+    assert view.committed[0].delta == mlds.kds.controller.distribution()
     mlds.kds.shutdown()
 
 
@@ -50,15 +51,15 @@ def test_explicit_transaction_groups_ops_under_one_commit(tmp_path):
     transaction = view.committed[0]
     # two routed inserts plus a delete broadcast to both backends = 4 ops
     assert sum(len(ops) for ops in transaction.ops.values()) == 4
-    assert transaction.counts == [0, 1]  # a=1 landed on backend 0 and was deleted
+    assert transaction.delta == [0, 1]  # a=1 landed on backend 0 and was deleted
     mlds.kds.shutdown()
 
 
 def test_abort_is_recorded_and_excluded_from_committed(tmp_path):
     wal = manager(tmp_path)
-    wal.begin()
-    wal.log_op(0, insert("f", a=1))
-    wal.abort()
+    txn = wal.begin("s")
+    wal.log_op(0, insert("f", a=1), txn=txn)
+    wal.abort(txn)
     view = read_wal(wal.directory)
     assert view.committed == []
     assert view.transactions[1].status == "aborted"
@@ -67,18 +68,18 @@ def test_abort_is_recorded_and_excluded_from_committed(tmp_path):
 
 def test_sequence_numbers_resume_after_reopen(tmp_path):
     wal = manager(tmp_path)
-    first = wal.begin()
-    wal.log_op(0, insert("f", a=1))
-    wal.log_op(1, insert("f", a=2))
-    wal.commit([1, 1])
+    first = wal.begin("s")
+    wal.log_op(0, insert("f", a=1), txn=first)
+    wal.log_op(1, insert("f", a=2), txn=first)
+    wal.commit(first, {0: 1, 1: 1})
     wal.close()
 
     resumed = manager(tmp_path)
-    second = resumed.begin()
+    second = resumed.begin("s")
     assert second == first + 1
-    seq = resumed.log_op(0, insert("f", a=3))
+    seq = resumed.log_op(0, insert("f", a=3), txn=second)
     assert seq == 2  # continues backend 0's stream, no reuse
-    resumed.commit([2, 1])
+    resumed.commit(second, {0: 1})
     view = read_wal(resumed.directory)
     assert [t.txn for t in view.committed] == [first, second]
     assert view.max_seq[0] == 2
@@ -94,9 +95,9 @@ def test_reopen_rejects_wrong_backend_count(tmp_path):
 
 def test_torn_final_line_is_dropped(tmp_path):
     wal = manager(tmp_path)
-    wal.begin()
-    wal.log_op(0, insert("f", a=1))
-    wal.commit([1, 0])
+    txn = wal.begin("s")
+    wal.log_op(0, insert("f", a=1), txn=txn)
+    wal.commit(txn, {0: 1})
     wal.close()
     master = wal.directory / master_segment_name(0)
     with master.open("a") as handle:
@@ -107,9 +108,9 @@ def test_torn_final_line_is_dropped(tmp_path):
 
 def test_mid_stream_corruption_raises(tmp_path):
     wal = manager(tmp_path)
-    wal.begin()
-    wal.log_op(0, insert("f", a=1))
-    wal.commit([1, 0])
+    txn = wal.begin("s")
+    wal.log_op(0, insert("f", a=1), txn=txn)
+    wal.commit(txn, {0: 1})
     wal.close()
     master = wal.directory / master_segment_name(0)
     lines = master.read_text().splitlines()
@@ -121,9 +122,9 @@ def test_mid_stream_corruption_raises(tmp_path):
 
 def test_non_monotonic_sequence_raises(tmp_path):
     wal = manager(tmp_path)
-    wal.begin()
-    wal.log_op(0, insert("f", a=1))
-    wal.commit([1, 0])
+    txn = wal.begin("s")
+    wal.log_op(0, insert("f", a=1), txn=txn)
+    wal.commit(txn, {0: 1})
     wal.close()
     backend_log = wal.directory / backend_segment_name(0, 0)
     line = backend_log.read_text().splitlines()[0]
@@ -136,32 +137,32 @@ def test_non_monotonic_sequence_raises(tmp_path):
 def test_guard_rails(tmp_path):
     wal = manager(tmp_path)
     with pytest.raises(WalError):
-        wal.log_op(0, insert("f", a=1))  # no open transaction
+        wal.log_op(0, insert("f", a=1), txn=1)  # no open transaction
     with pytest.raises(WalError):
-        wal.commit([0, 0])  # nothing to commit
-    wal.begin()
+        wal.commit(1, {})  # nothing to commit
+    txn = wal.begin("s")
     with pytest.raises(WalError):
-        wal.begin()  # no nesting
+        wal.begin("s")  # no nesting
     with pytest.raises(WalError):
-        wal.log_op(5, insert("f", a=1))  # no such backend
+        wal.log_op(5, insert("f", a=1), txn=txn)  # no such backend
     with pytest.raises(WalError):
         from tests.wal.conftest import query
         from repro.abdl.ast import RetrieveRequest
 
-        wal.log_op(0, RetrieveRequest(query(("FILE", "=", "f"))))
+        wal.log_op(0, RetrieveRequest(query(("FILE", "=", "f"))), txn=txn)
     with pytest.raises(WalError):
-        wal.commit([1])  # counts must cover every backend
+        wal.commit(txn, {2: 1})  # the delta must name backends of this WAL
     with pytest.raises(WalError):
         wal.start_new_segment()  # not while a transaction is open
-    wal.abort()
+    wal.abort(txn)
     wal.close()
 
 
 def test_start_new_segment_drops_old_files_and_bumps_meta(tmp_path):
     wal = manager(tmp_path)
-    wal.begin()
-    wal.log_op(0, insert("f", a=1))
-    wal.commit([1, 0])
+    txn = wal.begin("s")
+    wal.log_op(0, insert("f", a=1), txn=txn)
+    wal.commit(txn, {0: 1})
     old_master = wal.directory / master_segment_name(0)
     assert old_master.exists()
     wal.start_new_segment()
@@ -170,9 +171,9 @@ def test_start_new_segment_drops_old_files_and_bumps_meta(tmp_path):
     meta = json.loads((wal.directory / META_NAME).read_text())
     assert meta["segment"] == 1
     # numbering continues in the fresh segment
-    wal.begin()
-    assert wal.log_op(0, insert("f", a=2)) == 2
-    wal.commit([2, 0])
+    txn = wal.begin("s")
+    assert wal.log_op(0, insert("f", a=2), txn=txn) == 2
+    wal.commit(txn, {0: 1})
     view = read_wal(wal.directory)
     assert view.last_committed_txn == 2
     wal.close()
@@ -181,9 +182,9 @@ def test_start_new_segment_drops_old_files_and_bumps_meta(tmp_path):
 def test_stale_segment_surviving_a_crashed_truncation_is_still_read(tmp_path):
     """Segment GC can die half-done; the reader must union the leftovers."""
     wal = manager(tmp_path, backends=1)
-    wal.begin()
-    wal.log_op(0, insert("f", a=1))
-    wal.commit([1])
+    txn = wal.begin("s")
+    wal.log_op(0, insert("f", a=1), txn=txn)
+    wal.commit(txn, {0: 1})
     wal.close()
     # simulate: meta bumped to segment 1, old files never unlinked
     meta_path = wal.directory / META_NAME
@@ -191,9 +192,9 @@ def test_stale_segment_surviving_a_crashed_truncation_is_still_read(tmp_path):
     meta["segment"] = 1
     meta_path.write_text(json.dumps(meta))
     resumed = manager(tmp_path, backends=1)
-    resumed.begin()
-    resumed.log_op(0, insert("f", a=2))
-    resumed.commit([2])
+    txn = resumed.begin("s")
+    resumed.log_op(0, insert("f", a=2), txn=txn)
+    resumed.commit(txn, {0: 1})
     view = read_wal(resumed.directory)
     assert [t.txn for t in view.committed] == [1, 2]
     assert view.max_seq[0] == 2
