@@ -4,9 +4,9 @@ The ProcessPoolEngine's per-command cost used to be dominated by the
 transport itself: every command JSON-encoded into a string, pickled by
 ``SimpleQueue``, and answered the same way — two serializations and a
 queue wakeup per direction, per command.  The framed transport
-(:mod:`repro.ipc.frames` + :mod:`repro.ipc.transport`) replaces that
-with one length-prefixed binary frame per message over a raw duplex
-pipe, interns repeated strings, and — the big lever — coalesces a whole
+(:mod:`repro.ipc.transport`) replaces that with one length-prefixed
+marshal frame per message over a raw duplex pipe, interns repeated
+strings within a frame, and — the big lever — coalesces a whole
 dispatch round into one frame each way.
 
 This benchmark drives a real child process over three paths with the
@@ -17,10 +17,7 @@ same command/reply shapes the worker protocol uses:
 * ``binary_single`` — one marshal-framed message per command (same
   round-trip count, C-speed bodies, no pickle-the-string layer);
 * ``binary_batch``  — commands coalesced ``--batch`` per frame, replies
-  batched back, the proxy's deferred-dispatch shape;
-* ``tagged_single`` / ``json_frame`` — the alternative framed codecs,
-  measured for the record (the tagged codec's per-connection interning
-  buys the smallest frames but pays pure-Python per-node cost).
+  batched back, the proxy's deferred-dispatch shape.
 
 **Gate**: amortized per-command overhead on the coalesced path must be
 at least ``--min-ratio`` (default 3x) below the JSON queue baseline for
@@ -95,14 +92,14 @@ def queue_child(requests, responses, reply_records: int) -> None:
         responses.put(reply)
 
 
-def pipe_child(connection, codec: str, reply_records: int) -> None:
+def pipe_child(connection, reply_records: int) -> None:
     """The framed worker loop: singles and batches over one pipe.
 
     Batch replies are *distinct* objects (as a real worker would build),
     so marshal's identity-based reference table cannot collapse the
     whole reply frame into one definition + refs.
     """
-    transport = PipeTransport(connection, codec)
+    transport = PipeTransport(connection)
     reply = make_reply(reply_records)
     batch_replies: list = []
     while True:
@@ -151,7 +148,6 @@ def bench_pipe(
     commands: int,
     warmup: int,
     reply_records: int,
-    codec: str,
     batch: int,
 ) -> float:
     """Per-command microseconds over the framed transport.
@@ -162,11 +158,11 @@ def bench_pipe(
     context = multiprocessing.get_context()
     parent_end, child_end = context.Pipe(duplex=True)
     child = context.Process(
-        target=pipe_child, args=(child_end, codec, reply_records), daemon=True
+        target=pipe_child, args=(child_end, reply_records), daemon=True
     )
     child.start()
     child_end.close()
-    transport = PipeTransport(parent_end, codec)
+    transport = PipeTransport(parent_end)
     # Distinct command objects per slot, as real deferred dispatch holds:
     # marshal's identity refs may dedup the shared strings, not the dicts.
     frame = [copy.deepcopy(COMMAND) for _ in range(batch)]
@@ -202,17 +198,9 @@ def bench_scenario(
 ) -> dict:
     row = {"scenario": name, "reply_records": reply_records}
     row["json_queue_us"] = bench_queue(commands, warmup, reply_records)
-    row["binary_single_us"] = bench_pipe(
-        commands, warmup, reply_records, "binary", batch=1
-    )
+    row["binary_single_us"] = bench_pipe(commands, warmup, reply_records, batch=1)
     row["binary_batch_us"] = bench_pipe(
-        commands, warmup, reply_records, "binary", batch=batch
-    )
-    row["tagged_single_us"] = bench_pipe(
-        commands, warmup, reply_records, "tagged", batch=1
-    )
-    row["json_frame_us"] = bench_pipe(
-        commands, warmup, reply_records, "json", batch=1
+        commands, warmup, reply_records, batch=batch
     )
     row["ratio_single"] = row["json_queue_us"] / max(row["binary_single_us"], 1e-9)
     row["ratio_batch"] = row["json_queue_us"] / max(row["binary_batch_us"], 1e-9)
@@ -252,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     print("=== IPC transport  per-command round-trip overhead (us) ===")
     header = (
         f"{'scenario':>12}  {'json queue':>10}  {'bin single':>10}  "
-        f"{'bin batch':>10}  {'tagged':>10}  {'json frame':>10}  {'batch x':>8}"
+        f"{'bin batch':>10}  {'batch x':>8}"
     )
     print(header)
     print("-" * len(header))
@@ -260,7 +248,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{row['scenario']:>12}  {row['json_queue_us']:>10.1f}  "
             f"{row['binary_single_us']:>10.1f}  {row['binary_batch_us']:>10.1f}  "
-            f"{row['tagged_single_us']:>10.1f}  {row['json_frame_us']:>10.1f}  "
             f"{row['ratio_batch']:>8.2f}"
         )
 

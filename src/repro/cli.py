@@ -426,16 +426,6 @@ def build_parser() -> "argparse.ArgumentParser":
         help="pool size for --engine threads/process (default: one per backend)",
     )
     parser.add_argument(
-        "--ipc-codec",
-        choices=("binary", "tagged", "json"),
-        default="binary",
-        help="wire codec for --engine process worker pipes: 'binary' frames "
-        "C-speed marshal bodies (default), 'tagged' is the compact "
-        "pure-Python encoding with per-connection string interning, "
-        "'json' keeps the readable fallback (results are bit-identical "
-        "under all three)",
-    )
-    parser.add_argument(
         "--placement",
         choices=("round-robin", "least-loaded", "hash-shard"),
         default="round-robin",
@@ -650,13 +640,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
         from repro.obs import Observability
 
         obs = Observability(tracing=args.trace, slow_ms=args.slow_ms)
-    engine_arg = args.engine
-    if args.engine == "process":
-        # Built here (not via the string spec) so --ipc-codec reaches the
-        # worker pipes; instances pass through make_engine unchanged.
-        from repro.mbds.engine import ProcessPoolEngine
-
-        engine_arg = ProcessPoolEngine(args.workers, ipc_codec=args.ipc_codec)
     try:
         if args.recover:
             if wal_dir is None:
@@ -665,7 +648,7 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
 
             mlds = recover_mlds(
                 wal_dir,
-                engine=engine_arg,
+                engine=args.engine,
                 workers=args.workers,
                 pruning=args.prune,
                 placement=placement,
@@ -674,7 +657,7 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
         else:
             mlds = MLDS(
                 backend_count=args.backends,
-                engine=engine_arg,
+                engine=args.engine,
                 workers=args.workers,
                 pruning=args.prune,
                 placement=placement,

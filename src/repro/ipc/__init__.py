@@ -2,14 +2,19 @@
 
 The :class:`~repro.mbds.engine.ProcessPoolEngine` runs each backend's
 :class:`~repro.abdm.store.ABStore` in a persistent worker process and
-talks to it over a pair of queues.  Everything that crosses the process
-boundary travels as one JSON *string* — the same discipline the WAL
-already imposes on journaled mutations — so backend state is fully
-message-passing-clean: no live object, lock, or cache ever crosses.
+talks to it over one duplex pipe.  Everything that crosses the process
+boundary is a JSON-shaped value (dicts, lists, strings, numbers, bools,
+None) — the same discipline the WAL already imposes on journaled
+mutations — so backend state is fully message-passing-clean: no live
+object, lock, or cache ever crosses.
 
-* :mod:`repro.ipc.codec` — the wire codec: requests (extending the WAL's
-  mutating-request codec to retrievals), results, scan statistics,
-  file pre-images, pruning summaries, index digests, and trace spans.
+* :mod:`repro.ipc.codec` — the message codec: requests (extending the
+  WAL's mutating-request codec to retrievals), results, scan statistics,
+  file pre-images, pruning summaries, index digests, and trace spans,
+  each to and from its JSON-shaped form.
+* :mod:`repro.ipc.transport` — :class:`~repro.ipc.transport.PipeTransport`,
+  which frames those values onto the pipe (a 7-byte header and a
+  :mod:`marshal` body, singly or as a coalesced batch).
 * :mod:`repro.ipc.worker` — the worker process main loop.
 * :mod:`repro.ipc.proxy` — :class:`~repro.ipc.proxy.ProcessBackend`, the
   controller-side stand-in that speaks the protocol while duck-typing

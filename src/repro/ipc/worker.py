@@ -4,19 +4,18 @@
 :class:`~repro.mbds.engine.ProcessPoolEngine` worker process.  It builds
 a completely ordinary :class:`~repro.mbds.backend.Backend` — same store,
 same executor, same epoch-guarded result cache, same timing model — and
-then serves commands from its request queue until told to stop.  All the
+then serves commands from its pipe until told to stop.  All the
 engine-equivalence guarantees follow from that construction: the worker
 runs the *identical* per-backend code path the serial and thread-pool
 engines run, so simulated times, scan statistics, and cache behavior are
 bit-for-bit the code the controller would have executed in-process.
 
 Every message in both directions is one frame on the worker's duplex
-pipe (see :mod:`repro.ipc.transport`): a JSON-shaped command dict,
-encoded by the connection's codec — compact binary frames by default,
-``--ipc-codec json`` as the cross-checking fallback.  A *batch* frame
-carries a list of coalesced commands and is answered by one frame with
-the reply list in command order; errors inside a batch are captured
-per command, so one failing replay doesn't poison its batch-mates.
+pipe (see :mod:`repro.ipc.transport`): a JSON-shaped command dict in a
+marshal-encoded frame body.  A *batch* frame carries a list of
+coalesced commands and is answered by one frame with the reply list in
+command order; errors inside a batch are captured per command, so one
+failing replay doesn't poison its batch-mates.
 Mutation epochs live here, in the worker, next to the store they guard;
 checkpoint/recovery reconciliation is then automatic — a recovered farm
 spawns fresh workers whose stores rebuild from replayed ops, so epochs
@@ -238,11 +237,10 @@ def worker_main(
     latency_scale: float,
     config: Mapping[str, Any],
     connection: Any,
-    ipc_codec: str,
 ) -> None:
     """Serve one backend until a ``stop`` command (or pipe EOF) arrives."""
     apply_config_state(config)
-    transport = PipeTransport(connection, ipc_codec)
+    transport = PipeTransport(connection)
     worker = _Worker(backend_id, timing_state, store_factory, latency_scale)
     while True:
         try:

@@ -1,31 +1,31 @@
-"""The tagged value encoding and the frame header, edge by edge."""
+"""The worker frame: the 7-byte header and the marshal body, edge by edge."""
 
 from __future__ import annotations
 
-import json
 import math
+import multiprocessing
 import struct
 
 import pytest
 
-from repro.ipc.frames import (
+from repro.ipc.transport import (
     CODEC_BINARY,
-    CODEC_JSON,
-    CODEC_TAGGED,
     FLAG_BATCH,
     HEADER,
-    INTERN_MAX_LEN,
     MAGIC,
     FrameError,
-    ValueDecoder,
-    ValueEncoder,
+    PipeTransport,
     pack_frame,
     unpack_frame,
 )
 
 
 def roundtrip(value):
-    return ValueDecoder().decode(ValueEncoder().encode(value))
+    """One value through a whole frame: encode, header, pipe, decode."""
+    left_end, right_end = multiprocessing.Pipe()
+    with left_end, right_end:
+        PipeTransport(left_end).send(value)
+        return PipeTransport(right_end).recv()
 
 
 def float_bits(value: float) -> bytes:
@@ -93,17 +93,9 @@ class TestContainers:
         }
         assert roundtrip(value) == value
 
-    def test_tuples_become_lists_like_json(self):
-        value = {"pair": ("a", 1), "nested": [(1, 2), (3,)]}
-        assert roundtrip(value) == json.loads(json.dumps(value))
-
-    def test_non_string_dict_keys_refused(self):
-        with pytest.raises(FrameError):
-            ValueEncoder().encode({1: "a"})
-
     def test_unencodable_type_refused(self):
         with pytest.raises(FrameError):
-            ValueEncoder().encode({"bad": object()})
+            roundtrip({"bad": object()})
 
     def test_deep_nesting(self):
         value: list = []
@@ -115,60 +107,20 @@ class TestContainers:
         assert roundtrip(value) == value
 
 
-class TestInterning:
-    def test_dict_keys_intern_on_first_sight(self):
-        encoder = ValueEncoder()
-        first = encoder.encode({"elapsed_ms": 1})
-        second = encoder.encode({"elapsed_ms": 2})
-        assert len(second) < len(first)
-        assert encoder.interned_count >= 1
-
-    def test_values_intern_on_second_sight(self):
-        encoder = ValueEncoder()
-        encoder.encode(["student"])
-        before = encoder.interned_count
-        encoder.encode(["student"])  # second sighting defines it
-        third = encoder.encode(["student"])  # now a 5-byte ref
-        assert encoder.interned_count == before + 1
-        assert len(third) < len(ValueEncoder().encode(["student"]))
-
-    def test_decoder_mirrors_across_messages(self):
-        encoder, decoder = ValueEncoder(), ValueDecoder()
-        for i in range(4):
-            message = {"cmd": "execute", "label": "broadcast", "seq": i}
-            assert decoder.decode(encoder.encode(message)) == message
-
-    def test_long_strings_never_intern(self):
-        encoder = ValueEncoder()
-        big = "v" * (INTERN_MAX_LEN + 1)
-        for _ in range(3):
-            encoder.encode([big])
-        assert encoder.interned_count == 0
-
-    def test_fresh_decoder_cannot_read_refs(self):
-        encoder = ValueEncoder()
-        encoder.encode({"key": 1})
-        ref_message = encoder.encode({"key": 2})
-        with pytest.raises(FrameError):
-            ValueDecoder().decode(ref_message)
-
-
 class TestFrameHeader:
     def test_roundtrip(self):
-        frame = pack_frame(CODEC_TAGGED, FLAG_BATCH, b"payload")
-        assert unpack_frame(frame) == (CODEC_TAGGED, FLAG_BATCH, b"payload")
-
-    def test_codec_ids_are_distinct(self):
-        assert len({CODEC_JSON, CODEC_BINARY, CODEC_TAGGED}) == 3
+        frame = pack_frame(FLAG_BATCH, b"payload")
+        assert frame[:2] == bytes([MAGIC, CODEC_BINARY])
+        assert unpack_frame(frame) == (FLAG_BATCH, b"payload")
 
     def test_bad_magic_refused(self):
-        frame = bytearray(pack_frame(CODEC_BINARY, 0, b"x"))
+        frame = bytearray(pack_frame(0, b"x"))
         frame[0] ^= 0xFF
         with pytest.raises(FrameError):
             unpack_frame(bytes(frame))
 
     def test_truncated_frame_refused(self):
-        frame = pack_frame(CODEC_BINARY, 0, b"full payload")
+        frame = pack_frame(0, b"full payload")
         with pytest.raises(FrameError):
             unpack_frame(frame[:-3])
 
@@ -180,8 +132,3 @@ class TestFrameHeader:
         header = HEADER.pack(MAGIC, CODEC_BINARY, 0, 99)
         with pytest.raises(FrameError):
             unpack_frame(header + b"short")
-
-    def test_trailing_bytes_refused_by_decoder(self):
-        payload = ValueEncoder().encode(1)
-        with pytest.raises(FrameError):
-            ValueDecoder().decode(payload + b"\x00")

@@ -4,8 +4,7 @@ The contract is the same one `test_engine.py` pins for threads, made
 harder by the process boundary: merged results, record distribution,
 simulated response times, per-backend accounting, and final store
 contents must be bit-identical whether backends live in the controller
-process or in worker processes talking framed messages over pipes —
-under every ``--ipc-codec`` the transport supports.
+process or in worker processes talking framed messages over pipes.
 """
 
 import pytest
@@ -53,12 +52,6 @@ class TestProcessEngineParity:
         serial = run_workload("serial", backends=6)
         process = run_workload("process", workers=2, backends=6)
         assert serial == process
-
-    @pytest.mark.parametrize("codec", ["binary", "tagged", "json"])
-    def test_every_ipc_codec_matches_serial(self, codec):
-        serial = run_workload("serial")
-        framed = run_workload(ProcessPoolEngine(ipc_codec=codec))
-        assert serial == framed
 
     def test_clustered_store_factory_crosses_the_boundary(self):
         directory = Directory()
