@@ -10,7 +10,9 @@ strings within a frame, and — the big lever — coalesces a whole
 dispatch round into one frame each way.
 
 This benchmark drives a real child process over three paths with the
-same command/reply shapes the worker protocol uses:
+command shape the proxy sends and the reply frame a worker sends: a real
+backend's ``(*)`` RETRIEVE result through
+:func:`repro.ipc.codec.encode_backend_result` (one record batch):
 
 * ``json_queue``   — the pre-framing baseline, reconstructed here:
   JSON strings over a ``SimpleQueue`` pair, one round trip per command;
@@ -41,7 +43,11 @@ from pathlib import Path
 if __package__ in (None, ""):  # runnable as a plain script, too
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.abdl import parse_request
+from repro.ipc import codec
 from repro.ipc.transport import PipeTransport
+from repro.mbds.backend import Backend
+from repro.mbds.timing import TimingModel
 
 #: Command shape: what the proxy sends per broadcast execute.
 COMMAND = {
@@ -57,27 +63,24 @@ COMMAND = {
 
 
 def make_reply(records: int) -> dict:
-    """Reply shape: a backend result with *records* selected rows."""
+    """The worker's reply to a ``(*)`` RETRIEVE selecting *records* rows.
+
+    A real backend runs the request and the production codec encodes
+    the result, so the frame is byte-for-byte what a worker sends.
+    """
+    backend = Backend(0, TimingModel())
+    for i in range(records):
+        backend.execute(
+            parse_request(
+                f"INSERT (<FILE, student>, <ID, {i}>, <name, 'student-{i}'>, "
+                f"<gpa, {2.0 + (i % 20) / 10.0}>, <advisor, 'faculty-{i % 17}'>)"
+            )
+        )
+    result = backend.execute(parse_request("RETRIEVE (FILE = student) (*)"))
     return {
-        "result": {
-            "operation": "RETRIEVE",
-            "count": records,
-            "records": [
-                {
-                    "pairs": [
-                        ["FILE", "student"],
-                        ["ID", i],
-                        ["name", f"student-{i}"],
-                        ["gpa", 2.0 + (i % 20) / 10.0],
-                        ["advisor", f"faculty-{i % 17}"],
-                    ],
-                    "text": "",
-                }
-                for i in range(records)
-            ],
-        },
-        "elapsed_ms": 0.4375,
-        "wall_ms": 0.0512,
+        "result": codec.encode_backend_result(result),
+        "spans": [],
+        "metrics": {},
     }
 
 

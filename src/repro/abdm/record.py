@@ -11,7 +11,7 @@ key (``(entity-type, unique-key)``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.abdm.values import Value, render
 
@@ -64,6 +64,26 @@ class Record:
                 record._order.append(attribute)
             record._index[attribute] = value
         return record
+
+    @classmethod
+    def from_shape(
+        cls, order: Sequence[str], values: Iterable[Value], text: str = ""
+    ) -> "Record":
+        """Build a record from an attribute order and its values.
+
+        The inverse of :meth:`shape`: *order* must name each attribute
+        once, and *values* holds one value per attribute in that order.
+        """
+        record = cls.__new__(cls)
+        record._order = list(order)
+        record._index = dict(zip(order, values))
+        record.text = text
+        return record
+
+    def shape(self) -> tuple[tuple[str, ...], list[Value]]:
+        """Return ``(attribute order, values in that order)``."""
+        index = self._index
+        return tuple(self._order), [index[a] for a in self._order]
 
     # -- mapping-style access -------------------------------------------------
 

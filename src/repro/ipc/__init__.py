@@ -10,8 +10,11 @@ object, lock, or cache ever crosses.
 
 * :mod:`repro.ipc.codec` — the message codec: requests (extending the
   WAL's mutating-request codec to retrievals), results, scan statistics,
-  file pre-images, pruning summaries, index digests, and trace spans,
-  each to and from its JSON-shaped form.
+  pruning summaries, index digests, and trace spans, each to and from
+  its JSON-shaped form.  Every record list (replies, file pre-images,
+  store dumps, inserts) crosses as one shape-interned record batch, and
+  a RETRIEVE reply carries each matching record once: the proxy
+  re-projects ``records`` from ``raw_records``.
 * :mod:`repro.ipc.transport` — :class:`~repro.ipc.transport.PipeTransport`,
   which frames those values onto the pipe (a 7-byte header and a
   :mod:`marshal` body, singly or as a coalesced batch).

@@ -13,19 +13,28 @@ verbatim and adds what a *live* backend conversation needs on top:
 * pruning summaries, aggregate index digests, and observability span
   trees.
 
-Every encoder returns data ``json.dumps`` accepts directly (dicts, lists,
-strings, numbers, booleans, None) and every decoder inverts its encoder
-exactly.  Floats round-trip bit-identically through JSON (``repr``-based
-formatting), including the timing model's simulated milliseconds — this
-is what lets the engine-equivalence tests demand *bit*-identical results
-from a worker process.  NaN keyword values survive too: the stdlib codec
-emits and reparses the ``NaN`` literal.
+Every encoder returns a JSON-shaped value (dicts with string keys,
+lists, strings, numbers, booleans, None) and every decoder inverts its
+encoder exactly.  :class:`~repro.ipc.transport.PipeTransport` carries
+those values as :mod:`marshal` frame bodies, which keep floats
+bit-identical (NaN payloads and ``-0.0`` included), ints unbounded and
+``True`` distinct from ``1`` — this is what lets the engine-equivalence
+tests demand *bit*-identical results from a worker process.
+
+Every record list on the pipe — a RETRIEVE reply, a file pre-image, a
+store dump, a bulk or single insert — is one *record batch*
+(:func:`encode_records`): each distinct attribute order is sent once,
+each record as a shape id plus its value list, and the text column only
+when some record has text.  A RETRIEVE reply ships each matching record
+once, as ``raw_records``; the receiver rebuilds ``records`` by running
+the executor's projection on each backend's partial
+(:func:`decode_result`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from repro.abdl.ast import (
     Request,
@@ -33,7 +42,7 @@ from repro.abdl.ast import (
     RetrieveRequest,
     TargetItem,
 )
-from repro.abdl.executor import RequestResult
+from repro.abdl.executor import RequestResult, project
 from repro.abdm.directory import Directory
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.record import Record
@@ -107,32 +116,81 @@ def decode_any_request(payload: Mapping[str, Any]) -> Request:
 # -- records and results -------------------------------------------------------
 
 
-def encode_record(record: Record) -> list[Any]:
-    """``[[attr, value], ...], text`` — positional to keep replies compact."""
-    return [[[a, v] for a, v in record.pairs()], record.text]
+def encode_records(records: Iterable[Record]) -> dict[str, Any]:
+    """Encode a record list as one shape-interned batch.
+
+    ``shapes`` lists each distinct attribute order once; record *i* is
+    ``shapes[ids[i]]`` zipped with ``values[i]``.  ``text`` holds the
+    textual portions and is left out when every one is empty.
+    """
+    shape_ids: dict[tuple[str, ...], int] = {}
+    shapes: list[list[str]] = []
+    ids: list[int] = []
+    values: list[list[Any]] = []
+    texts: list[str] = []
+    for record in records:
+        order, row = record.shape()
+        shape_id = shape_ids.get(order)
+        if shape_id is None:
+            shape_id = shape_ids[order] = len(shapes)
+            shapes.append(list(order))
+        ids.append(shape_id)
+        values.append(row)
+        texts.append(record.text)
+    batch: dict[str, Any] = {"shapes": shapes, "ids": ids, "values": values}
+    if any(texts):
+        batch["text"] = texts
+    return batch
 
 
-def decode_record(payload: list[Any]) -> Record:
-    pairs, text = payload
-    return Record.from_pairs(
-        [(attribute, value) for attribute, value in pairs], text=text
-    )
+def decode_records(batch: Mapping[str, Any]) -> list[Record]:
+    """Rebuild the records of a batch made by :func:`encode_records`."""
+    shapes = batch["shapes"]
+    build = Record.from_shape
+    texts = batch.get("text")
+    if texts is None:
+        return [build(shapes[i], row) for i, row in zip(batch["ids"], batch["values"])]
+    return [
+        build(shapes[i], row, text)
+        for i, row, text in zip(batch["ids"], batch["values"], texts)
+    ]
 
 
 def encode_result(result: RequestResult) -> dict[str, Any]:
+    """Ship each matching record once: ``raw_records`` only.
+
+    ``records`` is the projection of ``raw_records`` onto the request's
+    target list, so the receiver rebuilds it with :func:`decode_result`.
+    """
     return {
         "operation": result.operation,
-        "records": [encode_record(r) for r in result.records],
-        "raw_records": [encode_record(r) for r in result.raw_records],
+        "raw_records": encode_records(result.raw_records),
         "count": result.count,
     }
 
 
-def decode_result(payload: Mapping[str, Any]) -> RequestResult:
+def _project(records: list[Record], request: Request) -> list[Record]:
+    """The executor's projection of one backend's matching records."""
+    if isinstance(request, RetrieveRequest):
+        return project(records, request)
+    if isinstance(request, RetrieveCommonRequest):
+        # Executor._retrieve_common projects the joined records through
+        # the left query with the request's target list and no BY.
+        return project(records, RetrieveRequest(request.left_query, request.target))
+    return []
+
+
+def decode_result(payload: Mapping[str, Any], request: Request) -> RequestResult:
+    """Rebuild the result of *request* on one backend.
+
+    The projection runs per backend partial, exactly as the backend's
+    executor ran it: a ``BY`` clause groups within each partial.
+    """
+    raw_records = decode_records(payload["raw_records"])
     return RequestResult(
         payload["operation"],
-        records=[decode_record(r) for r in payload["records"]],
-        raw_records=[decode_record(r) for r in payload["raw_records"]],
+        records=_project(raw_records, request),
+        raw_records=raw_records,
         count=payload["count"],
     )
 
@@ -150,10 +208,13 @@ def encode_backend_result(result: BackendResult) -> dict[str, Any]:
     }
 
 
-def decode_backend_result(payload: Mapping[str, Any]) -> BackendResult:
+def decode_backend_result(
+    payload: Mapping[str, Any], request: Request
+) -> BackendResult:
+    """Rebuild a backend's reply to *request* (see :func:`decode_result`)."""
     return BackendResult(
         payload["backend_id"],
-        decode_result(payload["result"]),
+        decode_result(payload["result"], request),
         payload["elapsed_ms"],
         payload["wall_ms"],
         payload["records_examined"],

@@ -88,7 +88,7 @@ class ProcessStore:
 
     def all_records(self) -> Iterator["Record"]:
         reply = self._backend._call({"cmd": "store_all_records"})
-        return iter([codec.decode_record(r) for r in reply["records"]])
+        return iter(codec.decode_records(reply["records"]))
 
     def drop_file(self, name: str) -> None:
         self._backend._summary_cache = None
@@ -97,7 +97,7 @@ class ProcessStore:
     def insert(self, record: "Record") -> None:
         self._backend._summary_cache = None
         self._backend._call(
-            {"cmd": "store_insert", "record": codec.encode_record(record)}
+            {"cmd": "store_insert", "records": codec.encode_records([record])}
         )
 
     def bulk_insert(self, records: Sequence["Record"]) -> int:
@@ -105,7 +105,7 @@ class ProcessStore:
         reply = self._backend._call(
             {
                 "cmd": "store_bulk_insert",
-                "records": [codec.encode_record(r) for r in records],
+                "records": codec.encode_records(records),
             }
         )
         return reply["count"]
@@ -115,13 +115,9 @@ class ProcessStore:
         return reply["count"]
 
     def snapshot(self) -> dict[str, Any]:
-        reply = self._backend._call({"cmd": "store_snapshot"})
-        # JSON flattens the pair tuples to lists; restore the exact
-        # in-process shape so structural comparisons across engines hold.
-        return {
-            name: [[tuple(pair) for pair in record] for record in records]
-            for name, records in reply["snapshot"].items()
-        }
+        # Marshal frames keep tuples and lists apart, so the reply already
+        # has the in-process shape (lists of ``(attribute, value)`` tuples).
+        return self._backend._call({"cmd": "store_snapshot"})["snapshot"]
 
 
 class ProcessBackend:
@@ -147,6 +143,9 @@ class ProcessBackend:
         self._directory = self._template_directory(store_factory)
         #: Deferred commands awaiting the next batch frame (see _defer).
         self._pending: list[dict[str, Any]] = []
+        #: The request the last start_execute shipped: its reply carries
+        #: only raw records, and finish_execute projects them through it.
+        self._inflight: Optional["Request"] = None
         self._spawn()
         self.store = ProcessStore(self)
 
@@ -185,6 +184,7 @@ class ProcessBackend:
         else:
             self._close_transport()
         self._pending = []
+        self._inflight = None
         self._summary_cache = None
         self._stopped = False
         self._spawn()
@@ -329,6 +329,7 @@ class ProcessBackend:
         if snapshot is not None:
             message["snapshot"] = snapshot
         self._send(message)
+        self._inflight = request
 
     def finish_execute(self, span: Optional["Span"] = None) -> "BackendResult":
         """Collect the reply for the last :meth:`start_execute`.
@@ -336,8 +337,15 @@ class ProcessBackend:
         Worker-side spans are grafted under *span* (or the calling
         thread's current span), re-joining the controller's trace tree;
         worker-side counter deltas (qc cache hits/misses and friends)
-        are folded into the controller's metrics registry.
+        are folded into the controller's metrics registry.  The reply
+        ships each matching record once; the decoder rebuilds the
+        projected ``records`` from them with the in-flight request.
         """
+        request, self._inflight = self._inflight, None
+        if request is None:
+            raise ExecutionError(
+                f"backend {self.backend_id}: finish_execute without start_execute"
+            )
         reply = self._receive()
         parent = span if span is not None else self.obs.tracer.current
         if reply["spans"] and parent is not None:
@@ -345,7 +353,7 @@ class ProcessBackend:
         metrics = self.obs.metrics
         for name, delta in reply.get("metrics", {}).items():
             metrics.inc(name, delta)
-        return codec.decode_backend_result(reply["result"])
+        return codec.decode_backend_result(reply["result"], request)
 
     def execute(
         self, request: "Request", snapshot: Optional[int] = None
@@ -369,7 +377,7 @@ class ProcessBackend:
 
     def capture_file(self, file_name: str) -> list:
         reply = self._call({"cmd": "capture_file", "file": file_name})
-        return [codec.decode_record(r) for r in reply["records"]]
+        return codec.decode_records(reply["records"])
 
     def restore_file(self, file_name: str, records: list) -> None:
         self._summary_cache = None
@@ -377,7 +385,7 @@ class ProcessBackend:
             {
                 "cmd": "restore_file",
                 "file": file_name,
-                "records": [codec.encode_record(r) for r in records],
+                "records": codec.encode_records(records),
             }
         )
 

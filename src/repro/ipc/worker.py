@@ -140,15 +140,11 @@ class _Worker:
             return {"files": backend.file_names()}
         if cmd == "capture_file":
             return {
-                "records": [
-                    codec.encode_record(r)
-                    for r in backend.capture_file(message["file"])
-                ]
+                "records": codec.encode_records(backend.capture_file(message["file"]))
             }
         if cmd == "restore_file":
             backend.restore_file(
-                message["file"],
-                [codec.decode_record(r) for r in message["records"]],
+                message["file"], codec.decode_records(message["records"])
             )
             return {"ok": True}
         if cmd == "seal_versions":
@@ -203,21 +199,16 @@ class _Worker:
         if cmd == "store_index_snapshot":
             return {"snapshot": backend.store.index_snapshot()}
         if cmd == "store_all_records":
-            return {
-                "records": [
-                    codec.encode_record(r) for r in backend.store.all_records()
-                ]
-            }
+            return {"records": codec.encode_records(backend.store.all_records())}
         if cmd == "store_drop_file":
             backend.store.drop_file(message["file"])
             return {"ok": True}
         if cmd == "store_insert":
-            backend.store.insert(codec.decode_record(message["record"]))
+            (record,) = codec.decode_records(message["records"])
+            backend.store.insert(record)
             return {"ok": True}
         if cmd == "store_bulk_insert":
-            count = backend.store.bulk_insert(
-                [codec.decode_record(r) for r in message["records"]]
-            )
+            count = backend.store.bulk_insert(codec.decode_records(message["records"]))
             return {"count": count}
         if cmd == "store_count":
             return {"count": backend.store.count(message.get("file"))}

@@ -4,7 +4,8 @@ Every round trip here goes ``encode → json.dumps → json.loads → decode``
 so the tests prove JSON-cleanliness, not just structural symmetry.  The
 bit-identity contract of the process engine rests on these inversions:
 floats (including NaN), null values, record text, span trees, and the
-timing model must all survive the queue untouched.
+timing model must all survive the pipe untouched, and a backend reply
+that ships only raw records must decode to the in-process result.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import json
 import math
 
 from repro.abdl import parse_request
-from repro.abdl.executor import RequestResult
 from repro.abdm.directory import Directory
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.record import Record
 from repro.ipc import codec
-from repro.mbds.backend import BackendResult
+from repro.mbds.backend import Backend
 from repro.mbds.summary import AttributeRange, BackendSummary, FileSummary
 from repro.mbds.timing import TimingModel
 from repro.obs.trace import Span
@@ -58,49 +58,106 @@ class TestRequests:
         ]
 
 
+def batch_roundtrip(records):
+    return codec.decode_records(through_json(codec.encode_records(records)))
+
+
+def loaded_backend():
+    """A real backend holding two files, mixed record shapes and text."""
+    backend = Backend(2, TimingModel())
+    backend.store.add_index("x")
+    for i in range(12):
+        backend.execute(
+            parse_request(
+                f"INSERT (<FILE, f>, <f, f${i}>, <x, {i % 4}>, <y, {i * 0.75}>)"
+            )
+        )
+    backend.execute(parse_request("INSERT (<FILE, f>, <f, f$99>, <z, 'odd'>)"))
+    backend.store.insert(
+        Record.from_pairs([("FILE", "f"), ("x", 1), ("y", 2.5)], text="noted")
+    )
+    for i in range(4):
+        backend.execute(parse_request(f"INSERT (<FILE, g>, <g, g${i}>, <x, {i}>)"))
+    return backend
+
+
+#: RETRIEVE shapes whose ``records`` the receiver rebuilds by projection.
+RESULT_REQUESTS = (
+    "RETRIEVE (FILE = f) (*)",
+    "RETRIEVE ((FILE = f) AND (x >= 2)) (x, y)",
+    "RETRIEVE (FILE = f) (y, z) BY x",
+    "RETRIEVE (FILE = f) (COUNT(*), AVG(y), MAX(z)) BY x",
+    "RETRIEVE (FILE = f) (SUM(y))",
+    "RETRIEVE ((FILE = f) AND (x = 77)) (COUNT(*))",
+    "RETRIEVE-COMMON (FILE = f) COMMON (x) (FILE = g) (f, g)",
+    "UPDATE ((FILE = g) AND (x = 0)) (x = x + 10)",
+    "DELETE ((FILE = g) AND (x = 3))",
+)
+
+
 class TestRecordsAndResults:
     def test_record_roundtrips_value_domain(self):
         record = Record.from_pairs(
             [("FILE", "f"), ("i", 3), ("f2", 3.5), ("s", "str"), ("n", None)],
             text="the textual portion",
         )
-        decoded = codec.decode_record(through_json(codec.encode_record(record)))
+        (decoded,) = batch_roundtrip([record])
         assert decoded == record
         assert decoded.text == record.text
 
     def test_nan_survives_the_wire(self):
         record = Record.from_pairs([("FILE", "f"), ("x", float("nan"))])
-        decoded = codec.decode_record(through_json(codec.encode_record(record)))
+        (decoded,) = batch_roundtrip([record])
         ((_, value),) = [p for p in decoded.pairs() if p[0] == "x"]
         assert math.isnan(value)
 
     def test_float_bit_identity(self):
-        for value in (0.1, 1e-17, 2**53 + 1.0, -0.0, 1.0000000000000002):
-            record = Record.from_pairs([("FILE", "f"), ("x", value)])
-            decoded = codec.decode_record(
-                through_json(codec.encode_record(record))
-            )
+        values = (0.1, 1e-17, 2**53 + 1.0, -0.0, 1.0000000000000002)
+        records = [Record.from_pairs([("FILE", "f"), ("x", v)]) for v in values]
+        for value, decoded in zip(values, batch_roundtrip(records)):
             ((_, out),) = [p for p in decoded.pairs() if p[0] == "x"]
             assert repr(out) == repr(value)
 
     def test_backend_result_roundtrips_scan_stats(self):
-        records = [Record.from_pairs([("FILE", "f"), ("x", i)]) for i in range(3)]
-        result = BackendResult(
-            2,
-            RequestResult(
-                "RETRIEVE", records=records, raw_records=records[:1], count=3
-            ),
-            elapsed_ms=12.75,
-            wall_ms=0.31,
-            records_examined=9,
-            index_hits=2,
-            range_hits=1,
-            fallback_scans=1,
+        backend = loaded_backend()
+        results = []
+        for text in RESULT_REQUESTS:
+            request = parse_request(text)
+            result = backend.execute(request)
+            decoded = codec.decode_backend_result(
+                through_json(codec.encode_backend_result(result)), request
+            )
+            assert decoded == result, text
+            assert [r.text for r in decoded.result.raw_records] == [
+                r.text for r in result.result.raw_records
+            ]
+            results.append(result)
+        # Every access path the scan statistics count was taken.
+        for stat in ("index_hits", "range_hits", "fallback_scans"):
+            assert any(getattr(result, stat) for result in results), stat
+
+    def test_batch_interns_shapes_and_drops_empty_text(self):
+        records = [
+            Record.from_pairs([("FILE", "f"), ("x", 1)]),
+            Record.from_pairs([("FILE", "f"), ("y", 2)]),
+            Record.from_pairs([("FILE", "f"), ("x", 3)]),
+        ]
+        batch = codec.encode_records(records)
+        assert batch == {
+            "shapes": [["FILE", "x"], ["FILE", "y"]],
+            "ids": [0, 1, 0],
+            "values": [["f", 1], ["f", 2], ["f", 3]],
+        }
+        records[1].text = "t"
+        assert codec.encode_records(records)["text"] == ["", "t", ""]
+
+    def test_reply_ships_each_record_once(self):
+        backend = loaded_backend()
+        payload = codec.encode_backend_result(
+            backend.execute(parse_request("RETRIEVE (FILE = f) (*)"))
         )
-        decoded = codec.decode_backend_result(
-            through_json(codec.encode_backend_result(result))
-        )
-        assert decoded == result
+        assert "records" not in payload["result"]
+        assert len(payload["result"]["raw_records"]["values"]) == 14
 
 
 class TestImagesSummariesDigests:

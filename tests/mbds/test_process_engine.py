@@ -84,6 +84,86 @@ class TestProcessEngineParity:
         assert run("serial") == run("process")
 
 
+#: Target-list, BY and aggregate retrievals.  Sent straight to the
+#: controller, they merge each backend's *projected* partial (the KDS
+#: would evaluate aggregates from raw records instead), so any slip in
+#: the process engine's receiver-side projection shows in ``records``.
+PROJECTION_REQUESTS = (
+    "RETRIEVE ((FILE = p) AND (k >= 5)) (k, w)",
+    "RETRIEVE (FILE = p) (w, n) BY g",
+    "RETRIEVE (FILE = p) (*) BY g",
+    "RETRIEVE (FILE = p) (COUNT(*), SUM(w), AVG(k), MIN(n)) BY g",
+    "RETRIEVE ((FILE = p) AND (k < 4)) (MAX(w), k)",
+    "RETRIEVE ((FILE = p) AND (k = 999)) (COUNT(*))",
+    "RETRIEVE-COMMON (FILE = p) COMMON (g) (FILE = q) (k, q)",
+)
+
+#: The scan-statistics counters the controller folds from every partial.
+SCAN_COUNTERS = (
+    "backend.requests",
+    "backend.records_examined",
+    "backend.index_hits",
+    "index.range_hits",
+    "plan.fallback_scan",
+)
+
+
+def bits(records):
+    """Records as (attribute, type, repr) triples: float bits included."""
+    return [
+        ([(a, type(v).__name__, repr(v)) for a, v in r.pairs()], r.text)
+        for r in records
+    ]
+
+
+def run_projections(engine):
+    obs = Observability()
+    kds = KernelDatabaseSystem(backend_count=3, engine=engine, obs=obs)
+    try:
+        for i in range(24):
+            name = f"'n{i % 7}'" if i % 3 else str(i % 5)
+            kds.execute(
+                parse_request(
+                    f"INSERT (<FILE, p>, <p, p${i}>, <k, {i}>, "
+                    f"<w, {i * 0.1 + 0.05}>, <g, {i % 4}>, <n, {name}>)"
+                )
+            )
+        for i in range(6):
+            kds.execute(parse_request(f"INSERT (<FILE, q>, <q, q${i}>, <g, {i}>)"))
+        kds.controller.add_index("k")
+        metrics = obs.metrics
+        outcomes = []
+        for text in PROJECTION_REQUESTS:
+            before = [metrics.counter_value(name) for name in SCAN_COUNTERS]
+            trace = kds.controller.execute(parse_request(text))
+            after = [metrics.counter_value(name) for name in SCAN_COUNTERS]
+            outcomes.append(
+                (
+                    text,
+                    bits(trace.result.records),
+                    bits(trace.result.raw_records),
+                    trace.result.count,
+                    [b - a for a, b in zip(before, after)],
+                    trace.per_backend_ms,
+                )
+            )
+        return outcomes
+    finally:
+        kds.shutdown()
+
+
+class TestProcessProjectionParity:
+    def test_projected_partials_match_serial_bit_for_bit(self):
+        serial = run_projections("serial")
+        process = run_projections("process")
+        assert len(process) == len(serial) == len(PROJECTION_REQUESTS)
+        for want, got in zip(serial, process):
+            assert got == want, want[0]
+        # The fixture takes every access path the counters record.
+        totals = [sum(column) for column in zip(*(outcome[4] for outcome in serial))]
+        assert all(totals), dict(zip(SCAN_COUNTERS, totals))
+
+
 class TestProcessEngineObservability:
     def run_traced(self, engine):
         obs = Observability(tracing=True)

@@ -11,7 +11,10 @@ wire).
 
 Covers the edges the wire must keep: NaN payloads, -0.0, the
 infinities, huge ints, bools next to ints, empty records, and deeply
-nested span trees.
+nested span trees.  Record batches (:func:`repro.ipc.codec.encode_records`)
+get their own property: any record list — mixed attribute orders,
+absent attributes, some texts set — must come back through a frame
+with identical pairs, text and value types.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import struct
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.abdm.record import Record
+from repro.ipc import codec
 from repro.ipc.transport import PipeTransport
 
 
@@ -81,6 +86,30 @@ span_trees = st.recursive(
 )
 
 
+#: Keyword values a record may carry, edges first.
+record_values = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS + [2**200, True, 1, False, 0, None, "a\x00b"]),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=20),
+)
+
+#: Records over a small attribute pool, so batches mix orders and share
+#: shapes; ``unique_by`` keeps one keyword per attribute, and any pool
+#: attribute a record does not draw is absent from it.
+records = st.builds(
+    lambda pairs, text: Record.from_pairs(pairs, text=text),
+    st.lists(
+        st.tuples(st.sampled_from(["FILE", "a", "b", "c\x00d", "é"]), record_values),
+        max_size=5,
+        unique_by=lambda pair: pair[0],
+    ),
+    st.one_of(st.just(""), st.text(max_size=12)),
+)
+
+
 def json_oracle(value):
     """What the pre-framing JSON transport would deliver."""
     return json.loads(json.dumps(value))
@@ -137,3 +166,38 @@ class TestBinaryCodecVsJson:
     @settings(max_examples=100, deadline=None)
     def test_span_trees(self, trees):
         assert_matches_oracle(trees, transport_roundtrip(trees))
+
+
+def same_value(original, decoded):
+    """Equal and of the same type; floats by IEEE-754 image."""
+    if type(original) is not type(decoded):
+        return False
+    if isinstance(original, float):
+        return struct.pack("!d", original) == struct.pack("!d", decoded)
+    return original == decoded
+
+
+class TestRecordBatchVsJson:
+    @given(batch=st.lists(records, max_size=8))
+    @example(batch=[])
+    @example(batch=[Record.from_pairs([("FILE", "f")]), Record.from_pairs([], text=" ")])
+    @example(
+        batch=[
+            Record.from_pairs([("FILE", "f"), ("a", True), ("b", 1)]),
+            Record.from_pairs([("b", SPECIAL_FLOATS[1]), ("FILE", "f")], text="t\x00"),
+            Record.from_pairs([("FILE", "f"), ("a", -0.0), ("c\x00d", 2**200)]),
+            Record.from_pairs([("FILE", "f"), ("a", None)]),
+        ]
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_roundtrips_through_a_frame(self, batch):
+        payload = codec.encode_records(batch)
+        received = transport_roundtrip(payload)
+        assert_matches_oracle(payload, received)
+        decoded = codec.decode_records(received)
+        assert len(decoded) == len(batch)
+        for original, ours in zip(batch, decoded):
+            assert ours.text == original.text
+            assert ours.attributes == original.attributes
+            for (_, want), (_, got) in zip(original.pairs(), ours.pairs()):
+                assert same_value(want, got), (want, got)
