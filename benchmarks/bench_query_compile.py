@@ -5,8 +5,9 @@ PR 4's tentpole claim: flattening DNF queries into matcher closures
 while staying **bit-identical** — same records, same order, same
 simulated timing-model figures.  This benchmark holds both halves:
 
-* **fidelity** — every request is executed once with compilation off and
-  once with it on; the simulated ``ResponseTime`` totals and the full
+* **fidelity** — every request is executed once on a system whose compile
+  caches are sized 0 (the interpreted matcher) and once on an identical
+  system that compiles; the simulated ``ResponseTime`` totals and the full
   record lists (pairs + text, in order) must match exactly, else the run
   fails immediately;
 * **speed** — the same retrieval set is timed interleaved (min-of-N,
@@ -41,11 +42,31 @@ from repro.qc import runtime as qc_runtime
 from repro.university import generate_university, load_university
 
 
+#: Cache sizes per mode.  A size is fixed when its cache is built, so each
+#: mode gets its own system, loaded with the same data.
+MODES = {
+    "interpreted": {"compile": 0, "result": 0},
+    "compiled": {"result": 0},
+    "result_cache": {},
+}
+
+
 def build_system(backends: int, persons: int, courses: int) -> MLDS:
     mlds = MLDS(backend_count=backends)
     data = generate_university(persons=persons, courses=courses, departments=4, seed=7)
     load_university(mlds, data)
     return mlds
+
+
+def build_modes(backends: int, persons: int, courses: int) -> dict[str, MLDS]:
+    """One identically loaded system per mode, built under its sizes."""
+    systems = {}
+    for mode, sizes in MODES.items():
+        qc_runtime.reset()
+        qc_runtime.config.sizes.update(sizes)
+        systems[mode] = build_system(backends, persons, courses)
+    qc_runtime.reset()
+    return systems
 
 
 def build_requests() -> list[RetrieveRequest]:
@@ -145,13 +166,10 @@ def run_once(mlds: MLDS, requests: list[RetrieveRequest]) -> list[dict]:
     return out
 
 
-def check_fidelity(mlds: MLDS, requests: list[RetrieveRequest]) -> dict:
+def check_fidelity(systems: dict[str, MLDS], requests: list[RetrieveRequest]) -> dict:
     """Interpreted vs compiled: simulated times and records bit-identical."""
-    config = qc_runtime.config
-    config.compile_enabled = False
-    interpreted = run_once(mlds, requests)
-    config.compile_enabled = True
-    compiled = run_once(mlds, requests)
+    interpreted = run_once(systems["interpreted"], requests)
+    compiled = run_once(systems["compiled"], requests)
     mismatches = []
     for left, right in zip(interpreted, compiled):
         if left["simulated_ms"] != right["simulated_ms"]:
@@ -167,33 +185,22 @@ def check_fidelity(mlds: MLDS, requests: list[RetrieveRequest]) -> dict:
 
 
 def time_modes(
-    mlds: MLDS, requests: list[RetrieveRequest], rounds: int, repeat: int
+    systems: dict[str, MLDS], requests: list[RetrieveRequest], rounds: int, repeat: int
 ) -> dict[str, float]:
     """Min-of-N interleaved wall times for the three modes."""
-    config = qc_runtime.config
-    modes = ("interpreted", "compiled", "result_cache")
-    best = {mode: float("inf") for mode in modes}
-
-    def configure(mode: str) -> None:
-        config.compile_enabled = mode != "interpreted"
-        config.result_cache_enabled = mode == "result_cache"
-
+    best = {mode: float("inf") for mode in systems}
     # Warm-up: populate compile and result caches so steady-state is
     # measured for every mode (the first compile/fill is one-off cost).
-    for mode in modes:
-        configure(mode)
+    for mlds in systems.values():
         for request in requests:
             mlds.kds.execute(request)
     for _ in range(repeat):
-        for mode in modes:
-            configure(mode)
+        for mode, mlds in systems.items():
             start = time.perf_counter()
             for _ in range(rounds):
                 for request in requests:
                     mlds.kds.execute(request)
             best[mode] = min(best[mode], time.perf_counter() - start)
-    config.compile_enabled = True
-    config.result_cache_enabled = True
     return best
 
 
@@ -228,19 +235,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_compile.json")
     args = parser.parse_args(argv)
 
-    qc_runtime.reset()
-    # Result caching off for the fidelity and scan-timing phases; the
-    # result_cache mode turns it back on explicitly.
-    qc_runtime.config.result_cache_enabled = False
-
     print(
-        f"loading University population (persons={args.persons}, "
+        f"loading University population per mode (persons={args.persons}, "
         f"courses={args.courses}, backends={args.backends})..."
     )
-    mlds = build_system(args.backends, args.persons, args.courses)
+    systems = build_modes(args.backends, args.persons, args.courses)
     requests = build_requests()
 
-    fidelity = check_fidelity(mlds, requests)
+    fidelity = check_fidelity(systems, requests)
     fidelity_ok = fidelity["simulated_identical"] and fidelity["records_identical"]
     print(
         f"fidelity over {fidelity['requests']} requests: "
@@ -248,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         f"records_identical={fidelity['records_identical']}"
     )
 
-    best = time_modes(mlds, requests, args.rounds, args.repeat)
+    best = time_modes(systems, requests, args.rounds, args.repeat)
     n = len(requests) * args.rounds
     speedup = best["interpreted"] / max(best["compiled"], 1e-9)
     cache_speedup = best["interpreted"] / max(best["result_cache"], 1e-9)
@@ -281,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    mlds.kds.shutdown()
+    for mlds in systems.values():
+        mlds.kds.shutdown()
     failed = False
     if not fidelity_ok:
         print(

@@ -7,8 +7,7 @@ from bisected index slices instead of full scans, while staying
 claims at once:
 
 * **fidelity** — every request is executed once with planning disabled
-  (``plan_enabled=False``: the compiled full-scan baseline, exactly what
-  ``--no-index-plan`` gives the shell) and once with it on; the record
+  (``plan_enabled=False``: the compiled full-scan baseline) and once with it on; the record
   lists (pairs + text, in order) must match exactly.  Simulated times are
   *expected* to differ — fewer records examined is the whole point — so
   the report carries both figures instead of comparing them.  A second
@@ -345,8 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     qc_runtime.reset()
-    # Result caching off: it would short-circuit the very scans under test.
-    qc_runtime.config.result_cache_enabled = False
+    # Result caching off (size 0, before any system is built): it would
+    # short-circuit the very scans under test.
+    qc_runtime.config.sizes["result"] = 0
 
     print(
         f"loading gpa-banded University population (records={args.records}, "

@@ -74,8 +74,6 @@ def parse_request(text: str) -> Request:
     executor copies the record of a cached INSERT before storing it.
     """
     cache = qc_runtime.request_parse_cache
-    if not qc_runtime.config.parse_cache_enabled:
-        return _parse_request_text(text)
     cached = cache.get(text)
     if cached is not MISSING:
         return cached

@@ -172,9 +172,9 @@ class ABStore:
         self._obs = NULL_OBS
         self._compiled = qc_runtime.new_cache("compile")
         # Mutation epochs: one counter per file plus a whole-store counter
-        # bumped by clear().  Result caches key on epoch_signature() so any
-        # mutation of a contributing file invalidates their entries —
-        # the same discipline the broadcast-pruning summaries use.
+        # bumped by clear().  The result cache and the broadcast-pruning
+        # summaries both stamp what they hold with epoch_signature(), so
+        # any mutation of a contributing file strands their entries.
         self._file_epochs: dict[str, int] = {}
         self._store_epoch = 0
         # MVCC version chains (snapshot reads).  While _capture is True
@@ -202,14 +202,15 @@ class ABStore:
     def matcher(self, query: Query) -> Callable[[Record], bool]:
         """The fastest available record matcher for *query*.
 
-        With compilation enabled this is a cached CompiledQuery closure;
-        otherwise (``--no-compile``, or a compile cache sized to 0) it
-        falls back to the interpreted ``query.matches`` bound method.
+        This is a cached CompiledQuery closure, unless the compile cache
+        is sized 0 (``--cache-sizes compile=0``): then it is the
+        interpreted ``query.matches`` bound method, the test oracle the
+        compiled matchers are checked against.
         The cache key carries the clause count besides the rendered text
         because the empty query and the empty-clause query both render
         as ``()`` while matching nothing / everything respectively.
         """
-        if not qc_runtime.config.compile_enabled or not self._compiled.enabled:
+        if not self._compiled.enabled:
             return query.matches
         key = (query.render(), len(query.clauses))
         compiled = self._compiled.get(key)

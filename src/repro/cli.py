@@ -252,13 +252,7 @@ class MLDSShell:
         from repro.qc import runtime as qc_runtime
 
         report = dict(self.mlds.kds.controller.cache_snapshots())
-        report["config"] = {
-            "compile": qc_runtime.config.compile_enabled,
-            "parse": qc_runtime.config.parse_cache_enabled,
-            "translate": qc_runtime.config.translation_cache_enabled,
-            "result": qc_runtime.config.result_cache_enabled,
-            "sizes": dict(qc_runtime.config.sizes),
-        }
+        report["sizes"] = dict(qc_runtime.config.sizes)
         if self.session is not None:
             engine = self.session.engine
             adapter = getattr(engine, "adapter", None)
@@ -436,13 +430,6 @@ def build_parser() -> "argparse.ArgumentParser":
         "broadcasting",
     )
     parser.add_argument(
-        "--no-snapshot-reads",
-        action="store_true",
-        help="disable MVCC snapshot reads: session RETRIEVEs take S locks "
-        "under strict 2PL (and block on writers) instead of reading the "
-        "newest stable commit seq lock-free from the version chains",
-    )
-    parser.add_argument(
         "--prune",
         action="store_true",
         help="skip backends whose file/descriptor summaries cannot match a "
@@ -530,23 +517,12 @@ def build_parser() -> "argparse.ArgumentParser":
         "attributes are answered from the index (see .indexes)",
     )
     parser.add_argument(
-        "--no-index-plan",
-        action="store_true",
-        help="keep indexes maintained but never plan with them: every "
-        "retrieval takes the full-scan path (the planner ablation baseline)",
-    )
-    parser.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="interpret DNF queries per record instead of compiling them "
-        "to matcher closures (the compiled path is the default)",
-    )
-    parser.add_argument(
         "--cache-sizes",
         metavar="SPEC",
         default=None,
         help="override qc cache bounds as 'layer=size,...' with layers "
-        "compile, parse, translate, result (size 0 disables a layer); "
+        "compile, parse, translate, result (size 0 disables a layer; "
+        "compile=0 interprets queries instead of compiling them); "
         "e.g. --cache-sizes result=0,compile=64",
     )
     serving = parser.add_argument_group("serving (see repro.server)")
@@ -607,10 +583,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
     args = parser.parse_args(argv)
     from repro.qc import runtime as qc_runtime
 
-    if args.no_compile:
-        qc_runtime.config.compile_enabled = False
-    if args.no_index_plan:
-        qc_runtime.config.plan_enabled = False
     if args.cache_sizes:
         try:
             qc_runtime.apply_sizes(args.cache_sizes)
@@ -663,7 +635,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - wiring
                 placement=placement,
                 wal=wal_arg,
                 obs=obs,
-                snapshot_reads=not args.no_snapshot_reads,
             )
     except ValueError as exc:
         parser.error(str(exc))

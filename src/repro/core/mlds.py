@@ -71,7 +71,6 @@ class MLDS:
         wal: Union[None, str, Path, WalManager] = None,
         obs: ObsSpec = None,
         lock_timeout: float = 10.0,
-        snapshot_reads: bool = True,
         version_retain: Optional[int] = None,
     ) -> None:
         """*store_factory* optionally replaces each backend's plain scan
@@ -96,11 +95,9 @@ class MLDS:
         :class:`~repro.obs.Observability` bundle — request tracing,
         metrics, and the slow log — shared by every layer beneath this
         facade; the default is the no-op null bundle.
-        *snapshot_reads* toggles the kernel's lock-free MVCC read path
-        for session-tagged retrievals (on by default; see
-        :class:`~repro.mbds.kds.KernelDatabaseSystem`), and
         *version_retain* caps the per-file version-chain depth kept for
-        those snapshot reads."""
+        the kernel's lock-free MVCC snapshot reads (see
+        :class:`~repro.mbds.kds.KernelDatabaseSystem`)."""
         if wal is not None and not isinstance(wal, WalManager):
             wal = WalManager(Path(wal), backend_count)
         self.kds = KernelDatabaseSystem(
@@ -115,7 +112,6 @@ class MLDS:
             wal=wal,
             obs=obs,
             lock_timeout=lock_timeout,
-            snapshot_reads=snapshot_reads,
             version_retain=version_retain,
         )
         self._functional: dict[str, FunctionalSchema] = {}

@@ -22,10 +22,12 @@ Three details carry the engine contract:
   command.  A million-op replay costs thousands of frames instead of a
   round trip per op.
 * **Summary caching** — pruning consults summaries on every broadcast,
-  so the proxy caches the last decoded summary and drops it whenever a
-  mutating request (or replay, file restore, direct store edit) goes through,
-  mirroring the per-file invalidation the worker's own
-  :class:`~repro.mbds.summary.SummaryCache` performs on its side.
+  so the proxy caches the last decoded summary and drops it whenever it
+  forwards a write (a mutating request, replay, file restore, or direct
+  store edit).  Every store edit in the worker goes through this proxy,
+  so the parent-side copy is never stale; the worker's own
+  :class:`~repro.mbds.summary.SummaryCache` checks the store's mutation
+  epochs and re-digests only the files whose stamp moved.
 
 Workers are daemonic: an abandoned controller (the crash-matrix tests
 kill systems mid-transaction without shutdown) cannot leak processes
@@ -427,10 +429,6 @@ class ProcessBackend:
 
     def summary_rebuild_counts(self) -> dict[str, int]:
         return dict(self._call({"cmd": "rebuild_counts"})["counts"])
-
-    def invalidate_summary(self) -> None:
-        self._summary_cache = None
-        self._call({"cmd": "invalidate_summary"})
 
     # -- aggregates and accounting ---------------------------------------------
 

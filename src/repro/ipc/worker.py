@@ -16,11 +16,17 @@ marshal-encoded frame body.  A *batch* frame carries a list of
 coalesced commands and is answered by one frame with the reply list in
 command order; errors inside a batch are captured per command, so one
 failing replay doesn't poison its batch-mates.
-Mutation epochs live here, in the worker, next to the store they guard;
-checkpoint/recovery reconciliation is then automatic — a recovered farm
-spawns fresh workers whose stores rebuild from replayed ops, so epochs
-and result caches restart coherent with the recovered contents instead
-of needing cross-process repair.
+
+Mutation epochs live here, in the worker, next to the store they guard,
+and both epoch-stamped caches — the result cache and the pruning
+summaries — check them on every use, so no command ever has to
+invalidate either.  Checkpoint/recovery reconciliation is then
+automatic: a recovered farm spawns fresh workers whose stores rebuild
+from replayed ops, so epochs and caches restart coherent with the
+recovered contents instead of needing cross-process repair.  The qc
+configuration reaches the worker once, at spawn (:func:`config_state`):
+the cache sizes — each cache's only on/off switch — plus the planner's
+baseline switch.
 
 Errors are shipped back as ``{"error": {"type", "message"}}`` and
 re-raised by the proxy, mapped onto the matching
@@ -40,25 +46,19 @@ from repro.qc import runtime as qc_runtime
 def apply_config_state(state: Mapping[str, Any]) -> None:
     """Apply a parent-process snapshot of the qc configuration."""
     config = qc_runtime.config
-    config.compile_enabled = state["compile_enabled"]
-    config.parse_cache_enabled = state["parse_cache_enabled"]
-    config.translation_cache_enabled = state["translation_cache_enabled"]
-    config.result_cache_enabled = state["result_cache_enabled"]
     config.plan_enabled = state["plan_enabled"]
     config.sizes = dict(state["sizes"])
 
 
 def config_state() -> dict[str, Any]:
-    """Snapshot the qc configuration for shipping to a worker."""
+    """Snapshot the qc configuration for shipping to a worker.
+
+    Cache sizes are the only cache switches, so shipping ``sizes`` is
+    what makes ``--cache-sizes`` (a 0 included) reach the worker's
+    compile and result caches, which it builds after applying this.
+    """
     config = qc_runtime.config
-    return {
-        "compile_enabled": config.compile_enabled,
-        "parse_cache_enabled": config.parse_cache_enabled,
-        "translation_cache_enabled": config.translation_cache_enabled,
-        "result_cache_enabled": config.result_cache_enabled,
-        "plan_enabled": config.plan_enabled,
-        "sizes": dict(config.sizes),
-    }
+    return {"plan_enabled": config.plan_enabled, "sizes": dict(config.sizes)}
 
 
 class _Worker:
@@ -159,9 +159,6 @@ class _Worker:
             return {"summary": codec.encode_summary(backend.summary())}
         if cmd == "rebuild_counts":
             return {"counts": backend.summary_rebuild_counts()}
-        if cmd == "invalidate_summary":
-            backend.invalidate_summary()
-            return {"ok": True}
         if cmd == "charge_access":
             elapsed, wall = backend.charge_access()
             return {"elapsed_ms": elapsed, "wall_ms": wall}

@@ -64,11 +64,7 @@ class TargetAdapter(abc.ABC):
         safe — and lets its cached rendering and compiled matcher be
         reused downstream as well.
         """
-        if not (
-            self.caches_translations
-            and qc_runtime.config.translation_cache_enabled
-            and self._translations.enabled
-        ):
+        if not (self.caches_translations and self._translations.enabled):
             return Query.conjunction([Predicate("FILE", "=", record_type), *extra])
         key = (
             record_type,

@@ -143,7 +143,7 @@ class DaplexEngine:
             return None, None
         if len(condition.clauses) != 1:
             return None, condition  # disjunctions filter post-hoc
-        use_cache = qc_runtime.config.translation_cache_enabled and self._splits.enabled
+        use_cache = self._splits.enabled
         key = (type_name, condition.render()) if use_cache else None
         if use_cache:
             cached = self._splits.get(key)

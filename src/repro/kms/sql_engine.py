@@ -176,11 +176,7 @@ class SqlEngine:
         Only statements that arrived as text can cache — the source text
         is the key; pre-parsed AST callers pay the (cheap) rebuild.
         """
-        use_cache = (
-            source is not None
-            and qc_runtime.config.translation_cache_enabled
-            and self._plans.enabled
-        )
+        use_cache = source is not None and self._plans.enabled
         if use_cache:
             cached = self._plans.get(source)
             if cached is not MISSING:

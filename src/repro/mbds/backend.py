@@ -43,7 +43,7 @@ from repro.abdl.ast import (
 from repro.abdl.executor import Executor, RequestResult
 from repro.abdm.plan import AttributeIndexDigest
 from repro.abdm.store import ABStore
-from repro.mbds.summary import BackendSummary, SummaryCache, affected_files
+from repro.mbds.summary import BackendSummary, SummaryCache
 from repro.mbds.timing import TimingModel
 from repro.obs import ObsSpec, resolve_obs
 from repro.qc.lru import MISSING
@@ -54,7 +54,7 @@ from repro.qc import runtime as qc_runtime
 StoreFactory = Callable[[], ABStore]
 
 #: Request types that can change what a backend's slice contains (and so
-#: invalidate its cached content summary).
+#: must capture version pre-images).
 _MUTATING_REQUESTS = (InsertRequest, BulkInsertRequest, DeleteRequest, UpdateRequest)
 
 
@@ -132,9 +132,8 @@ class Backend:
         #: Real milliseconds slept per simulated millisecond (0 = no sleep).
         self.latency_scale = latency_scale
         self._lock = threading.Lock()
-        self._summary: Optional[BackendSummary] = None
-        #: Per-file summary digests; mutations invalidate only the files
-        #: they touched, so one write never re-summarizes the whole slice.
+        #: Per-file summary digests stamped with the store's mutation
+        #: epochs; only files whose stamp moved are re-digested.
         self._summaries = SummaryCache()
         self._result_cache = qc_runtime.new_cache("result", prefix="qc.result")
 
@@ -168,9 +167,7 @@ class Backend:
         """
         with self._lock:
             use_cache = (
-                type(request) is RetrieveRequest
-                and qc_runtime.config.result_cache_enabled
-                and self._result_cache.enabled
+                type(request) is RetrieveRequest and self._result_cache.enabled
             )
             if use_cache and snapshot is not None:
                 use_cache = self.store.snapshot_live(
@@ -201,23 +198,6 @@ class Backend:
             )
             return backend_result
 
-    def _invalidate_for(self, request: Request) -> None:
-        """Invalidate summaries for the files *request* may have touched."""
-        self._summary = None
-        if isinstance(request, InsertRequest):
-            name = request.record.file_name
-            self._summaries.invalidate([name] if name else None)
-        elif isinstance(request, BulkInsertRequest):
-            # One invalidation per touched file for the whole batch, not
-            # one per record — the per-batch summary discipline.
-            names = {record.file_name for record in request.records}
-            self._summaries.invalidate(None if None in names else sorted(names))  # type: ignore[arg-type]
-        else:
-            query = getattr(request, "query", None)
-            self._summaries.invalidate(
-                affected_files(query) if query is not None else None
-            )
-
     def _execute_locked(
         self, request: Request, snapshot: Optional[int] = None
     ) -> BackendResult:
@@ -239,8 +219,6 @@ class Backend:
         index_hits = stats.index_hits - before.index_hits
         range_hits = stats.range_hits - before.range_hits
         fallback_scans = stats.fallback_scans - before.fallback_scans
-        if isinstance(request, _MUTATING_REQUESTS):
-            self._invalidate_for(request)
         if isinstance(request, InsertRequest):
             elapsed = self.timing.backend_insert_ms()
         elif isinstance(request, BulkInsertRequest):
@@ -304,7 +282,6 @@ class Backend:
         """
         with self._lock:
             self.executor.execute(request)
-            self._invalidate_for(request)
 
     def file_names(self) -> list[str]:
         """Names of the files resident on this backend's slice (sorted)."""
@@ -337,8 +314,6 @@ class Backend:
             self.store.restore_file(
                 file_name, [record.copy() for record in records]
             )
-            self._summary = None
-            self._summaries.invalidate([file_name])
 
     # -- version chains (MVCC snapshot reads) ------------------------------------
 
@@ -357,26 +332,20 @@ class Backend:
     # -- content summary (broadcast pruning) ------------------------------------
 
     def summary(self) -> BackendSummary:
-        """This backend's content summary, rebuilt lazily after mutations.
+        """This backend's content summary, current with every store edit.
 
-        Per-file digests are memoized in :class:`SummaryCache`, so after
-        a mutation only the touched files are re-digested.
+        Per-file digests are memoized in :class:`SummaryCache` under the
+        store's mutation epochs, so after any edit — through a request or
+        straight on ``self.store`` — only the touched files are
+        re-digested.
         """
         with self._lock:
-            if self._summary is None:
-                self._summary = self._summaries.summarize(self.store)
-            return self._summary
+            return self._summaries.summarize(self.store)
 
     def summary_rebuild_counts(self) -> dict[str, int]:
         """How often each file was re-digested (per-file invalidation tests)."""
         with self._lock:
             return dict(self._summaries.rebuild_counts)
-
-    def invalidate_summary(self) -> None:
-        """Drop the cached summary (after out-of-band store mutation)."""
-        with self._lock:
-            self._summary = None
-            self._summaries.invalidate()
 
     def charge_access(self) -> tuple[float, float]:
         """Charge one simulated disk access (the aggregate fast path).

@@ -514,11 +514,6 @@ class BackendController:
             for b in self.backends
         }
 
-    def invalidate_summaries(self) -> None:
-        """Drop every cached backend summary (after direct store edits)."""
-        for backend in self.backends:
-            backend.invalidate_summary()
-
     def shutdown(self) -> None:
         """Release engine resources (worker threads, if any)."""
         self.engine.shutdown()

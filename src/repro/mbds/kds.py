@@ -260,7 +260,6 @@ class KernelDatabaseSystem:
                 if observe is not None:
                     for file_name, backend_id in session.placed:
                         observe(file_name, backend_id)
-            self.controller.invalidate_summaries()
         session.end_transaction()
         session.aborts += 1
         self.locks.release_all(session.owner)
@@ -569,11 +568,8 @@ class KernelDatabaseSystem:
         for backend in self.controller.backends:
             for file_name in template.files:
                 backend.store.drop_file(file_name)
-        # Dropping files bypasses Backend.execute, so the cached pruning
-        # summaries no longer describe the stores; rebuild them lazily.
-        # It also bypasses placement, so load-tracking policies get the
-        # farm's actual distribution to resynchronize against.
-        self.controller.invalidate_summaries()
+        # Dropping files bypasses placement, so load-tracking policies get
+        # the farm's actual distribution to resynchronize against.
         rebalance = getattr(self.controller.placement, "rebalance", None)
         if rebalance is not None:
             rebalance(self.controller.distribution())

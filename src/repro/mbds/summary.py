@@ -28,15 +28,19 @@ the paper's directory is for: spend a cheap descriptor search to avoid
 an expensive record scan.
 
 Summaries are built lazily from the store and cached **per file** by
-:class:`SummaryCache`: a mutation invalidates only the files it touched
-(the whole cache only when the touched set is unknown), so a write to
-``COURSE`` never forces re-summarizing ``STUDENT``.
+:class:`SummaryCache`, each digest stamped with the file's mutation
+epochs (:meth:`~repro.abdm.store.ABStore.epoch_signature`) — the same
+staleness rule the result cache uses.  Every store edit bumps an epoch,
+whether it came through a request, replay, an abort's file restore or
+a direct ``backend.store`` call, so a digest can never outlive the
+contents it describes, and a write to ``COURSE`` never forces
+re-summarizing ``STUDENT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.abdm.directory import ClusteredStore, Directory
 from repro.abdm.predicate import Conjunction, Query
@@ -235,46 +239,44 @@ class BackendSummary:
 
 
 class SummaryCache:
-    """Per-file memo of :class:`FileSummary` digests.
+    """Per-file memo of :class:`FileSummary` digests, stamped by epoch.
 
-    One instance lives on each backend.  :meth:`summarize` reuses every
-    cached file digest and rebuilds only the missing ones, so the cost of
-    a mutation is proportional to the files it touched, not to the whole
-    slice.  *rebuild_counts* records how often each file was digested —
-    the regression tests use it to prove a write to one file does not
-    re-summarize the others.
+    One instance lives on each backend.  :meth:`summarize` re-digests
+    only the files whose ``epoch_signature`` stamp moved since their
+    digest was built, so the cost of a mutation is proportional to the
+    files it touched, not to the whole slice, and no caller ever has to
+    invalidate anything.  *rebuild_counts* records how often each file
+    was digested — the regression tests use it to prove a write to one
+    file does not re-summarize the others.
     """
 
     def __init__(self) -> None:
-        self._files: dict[str, FileSummary] = {}
+        self._files: dict[str, tuple[tuple, FileSummary]] = {}
+        self._stamp: Optional[tuple] = None
+        self._summary: Optional[BackendSummary] = None
         self.rebuild_counts: dict[str, int] = {}
 
-    def invalidate(self, file_names: Optional[Iterable[str]] = None) -> None:
-        """Drop digests for *file_names* (None = the whole slice)."""
-        if file_names is None:
-            self._files.clear()
-            return
-        for name in file_names:
-            self._files.pop(name, None)
-
     def summarize(self, store: ABStore) -> BackendSummary:
-        """Digest *store*, reusing cached per-file summaries."""
-        directory = store.directory if isinstance(store, ClusteredStore) else None
-        summaries: dict[str, FileSummary] = {}
+        """Digest *store*, reusing every per-file summary still current."""
+        stamp = store.epoch_signature()
+        if self._summary is not None and stamp == self._stamp:
+            return self._summary
+        files: dict[str, tuple[tuple, FileSummary]] = {}
         for name in store.file_names():
             if store.count(name) == 0:
-                self._files.pop(name, None)
                 continue
+            file_stamp = store.epoch_signature([name])
             cached = self._files.get(name)
-            if cached is None:
-                cached = FileSummary.of_file(store, name)
-                self._files[name] = cached
+            if cached is None or cached[0] != file_stamp:
+                cached = (file_stamp, FileSummary.of_file(store, name))
                 self.rebuild_counts[name] = self.rebuild_counts.get(name, 0) + 1
-            summaries[name] = cached
-        for name in list(self._files):
-            if name not in summaries:
-                del self._files[name]
-        return BackendSummary(frozenset(summaries), directory, summaries)
+            files[name] = cached
+        self._files = files
+        directory = store.directory if isinstance(store, ClusteredStore) else None
+        summaries = {name: summary for name, (_, summary) in files.items()}
+        self._stamp = stamp
+        self._summary = BackendSummary(frozenset(summaries), directory, summaries)
+        return self._summary
 
 
 def affected_files(query: Query) -> Optional[frozenset[str]]:

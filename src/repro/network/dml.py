@@ -303,8 +303,6 @@ def parse_statement(text: str) -> Statement:
     engines read them without mutation).
     """
     cache = qc_runtime.dml_parse_cache
-    if not qc_runtime.config.parse_cache_enabled:
-        return _parse_statement_text(text)
     key = ("stmt", text)
     cached = cache.get(key)
     if cached is not MISSING:
@@ -329,8 +327,6 @@ def parse_transaction(text: str) -> list[Statement]:
     hands each caller a fresh list so callers may extend/slice freely.
     """
     cache = qc_runtime.dml_parse_cache
-    if not qc_runtime.config.parse_cache_enabled:
-        return _parse_transaction_text(text)
     key = ("txn", text)
     cached = cache.get(key)
     if cached is not MISSING:

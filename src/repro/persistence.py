@@ -157,8 +157,8 @@ def load_mlds(
     chosen policy matches the kind that wrote it.
 
     Records are restored through each backend's store, which rebuilds
-    hash indexes and clustering as it inserts; cached broadcast-pruning
-    summaries are explicitly invalidated afterwards so a pruned RETRIEVE
+    hash indexes and clustering as it inserts and bumps the mutation
+    epochs the pruning summaries are stamped with, so a pruned RETRIEVE
     issued immediately after the load sees the restored contents.
     """
     snapshot = json.loads(Path(path).read_text())
@@ -221,7 +221,4 @@ def load_mlds(
     if isinstance(restored, LeastLoadedPlacement):
         # Whatever the snapshot said, the true load is what was restored.
         restored.rebalance(mlds.kds.controller.distribution())
-    # Restoring bypassed Backend.execute, so any cached content summaries
-    # no longer describe the stores; drop them (they rebuild lazily).
-    mlds.kds.controller.invalidate_summaries()
     return mlds

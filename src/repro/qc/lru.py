@@ -8,8 +8,10 @@ when one is bound, under ``<prefix>.hits`` / ``.misses`` / ``.evictions``
 — so an instrumented run sees every cache layer in one registry export.
 
 A cache with ``maxsize <= 0`` is disabled: :meth:`get` always misses
-(without counting) and :meth:`put` is a no-op, which is how the
-``--cache-sizes`` CLI flag turns individual layers off.
+(without counting) and :meth:`put` is a no-op.  Size is the only on/off
+switch a cache has — consumers that bypass a disabled layer check
+:attr:`LRUCache.enabled` — so ``--cache-sizes layer=0`` turns a layer
+off and nothing else does.
 """
 
 from __future__ import annotations

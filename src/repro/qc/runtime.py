@@ -17,11 +17,14 @@ Four cache layers hang off this module:
     Per-backend RETRIEVE result caches guarded by mutation epochs
     (created via :func:`new_cache`).
 
-:class:`QCConfig` is a mutable singleton (:data:`config`) so the CLI flags
-``--no-compile`` / ``--cache-sizes`` and the tests can flip layers on and
-off without threading a config object through every constructor.  Layers
-fall back to the uncached path both when their flag is off and when their
-size is 0.
+:class:`QCConfig` is a mutable singleton (:data:`config`) so the CLI's
+``--cache-sizes`` flag, the benchmarks and the tests can size layers
+without threading a config object through every constructor.  A cache's
+size is its only on/off switch: a layer sized 0 takes the uncached path
+(for ``compile``, the interpreted matcher).  Sizes are read when a cache
+is built, so a mode change means building a new system after setting
+:attr:`QCConfig.sizes`; only the process-global parse caches are resized
+in place (:func:`apply_sizes`).
 """
 
 from __future__ import annotations
@@ -48,15 +51,11 @@ LAYERS = tuple(DEFAULT_SIZES)
 
 @dataclass
 class QCConfig:
-    """Feature switches and LRU bounds for every cache layer."""
+    """LRU bounds for every cache layer, plus the planning baseline switch."""
 
-    compile_enabled: bool = True
-    parse_cache_enabled: bool = True
-    translation_cache_enabled: bool = True
-    result_cache_enabled: bool = True
-    #: Access-path planning over attribute indexes (``--no-index-plan``).
-    #: Off, every indexed store falls back to the compiled full scan —
-    #: the ablation baseline bench_range_index.py measures against.
+    #: Access-path planning over attribute indexes.  Off, every indexed
+    #: store falls back to the compiled full scan — the ablation baseline
+    #: bench_range_index.py and the planner tests measure against.
     plan_enabled: bool = True
     sizes: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SIZES))
 
@@ -81,10 +80,6 @@ class QCConfig:
             self.sizes[layer] = int(raw)
 
     def reset(self) -> None:
-        self.compile_enabled = True
-        self.parse_cache_enabled = True
-        self.translation_cache_enabled = True
-        self.result_cache_enabled = True
         self.plan_enabled = True
         self.sizes = dict(DEFAULT_SIZES)
 

@@ -96,7 +96,6 @@ def replay_committed(
                 f"{transaction.txn}: expected {expected}, got {counts}"
             )
         replayed += 1
-    controller.invalidate_summaries()
     return replayed
 
 

@@ -1,9 +1,10 @@
 """Broadcast pruning: summaries skip impossible backends, never change results."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.abdl import parse_request
-from repro.abdm import ClusteredStore, Directory
+from repro.abdm import ClusteredStore, Directory, Record
 from repro.mbds import BackendController, BackendSummary, KernelDatabaseSystem
 
 
@@ -62,6 +63,39 @@ class TestFilePruning:
         trace = controller.execute(parse_request("RETRIEVE (FILE = a) (*)"))
         assert trace.result.count == 0
         assert trace.response.backend_ms == 0.0
+
+
+@pytest.mark.parametrize("engine", ["serial", "process"])
+class TestDirectStoreEdits:
+    """Summaries follow store edits that bypass ``Backend.execute``."""
+
+    def build(self, engine):
+        controller = BackendController(2, engine=engine, pruning=True)
+        controller.execute(parse_request(insert_text("a", "a$0")))
+        # Build the summaries before editing a store behind their back.
+        assert controller.execute(parse_request("RETRIEVE (FILE = a) (*)")).result.count == 1
+        return controller
+
+    def test_direct_insert_is_visible_to_pruned_retrieve(self, engine):
+        controller = self.build(engine)
+        try:
+            controller.backends[1].store.insert(
+                Record.from_pairs([("FILE", "b"), ("b", "b$0")])
+            )
+            trace = controller.execute(parse_request("RETRIEVE (FILE = b) (*)"))
+            assert trace.result.count == 1
+        finally:
+            controller.shutdown()
+
+    def test_dropped_file_stops_matching(self, engine):
+        controller = self.build(engine)
+        try:
+            controller.backends[0].store.drop_file("a")
+            trace = controller.execute(parse_request("RETRIEVE (FILE = a) (*)"))
+            assert trace.result.count == 0
+            assert trace.response.backend_ms == 0.0
+        finally:
+            controller.shutdown()
 
 
 class TestDescriptorPruning:

@@ -91,13 +91,13 @@ def test_store_matcher_distinguishes_empty_query_from_empty_clause():
 
 
 def test_disabled_compile_falls_back_to_interpreted(config):
-    store = ABStore()
     query = Query.single("a", "=", 1)
-    config.compile_enabled = False
+    config.sizes["compile"] = 0
+    store = ABStore()
     assert store.matcher(query) == query.matches
     assert store.cache_snapshot()["misses"] == 0
-    config.compile_enabled = True
-    assert store.matcher(query) != query.matches
+    config.reset()
+    assert ABStore().matcher(query) != query.matches
 
 
 def test_zero_size_compile_cache_disables_compilation(config):
@@ -115,6 +115,10 @@ def test_store_find_results_identical_with_and_without_compile(config):
         [Predicate("FILE", "=", "f"), Predicate("parity", "=", 0), Predicate("n", ">", 4)]
     )
     compiled = [r.pairs() for r in store.find(query)]
-    config.compile_enabled = False
-    interpreted = [r.pairs() for r in store.find(query)]
+    config.sizes["compile"] = 0
+    interpreting = ABStore()
+    for abrecord in store.all_records():
+        interpreting.insert(abrecord.copy())
+    interpreted = [r.pairs() for r in interpreting.find(query)]
+    assert interpreting.matcher(query) == query.matches
     assert compiled == interpreted

@@ -21,8 +21,8 @@ def test_parse_request_memoizes_exact_text():
     assert cache.misses == 2
 
 
-def test_parse_request_bypasses_when_disabled(config):
-    config.parse_cache_enabled = False
+def test_parse_request_bypasses_when_disabled():
+    qc_runtime.apply_sizes("parse=0")
     first = parse_request(ABDL)
     second = parse_request(ABDL)
     assert first is not second

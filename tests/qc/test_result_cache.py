@@ -64,16 +64,15 @@ class TestHits:
         assert first.response.total_ms == second.response.total_ms
         assert first.response.backend_ms == second.response.backend_ms
 
-    def test_hit_replays_scan_statistics(self):
+    def test_hit_replays_scan_statistics(self, config):
         cached = MLDS(backend_count=2)
+        config.sizes["result"] = 0
         uncached = MLDS(backend_count=2)
         seed(cached)
         seed(uncached)
-        from repro.qc import runtime as qc_runtime
 
         for _ in range(3):
             cached.kds.execute(retrieve(*REQ))
-        qc_runtime.config.result_cache_enabled = False
         for _ in range(3):
             uncached.kds.execute(retrieve(*REQ))
         stats = lambda m: [  # noqa: E731
@@ -92,8 +91,10 @@ class TestHits:
         second = mlds.kds.execute(retrieve(*REQ))
         assert ("n", 999) not in second.result.records[0].pairs()
 
-    def test_disabled_flag_bypasses(self, mlds, config):
-        config.result_cache_enabled = False
+    def test_disabled_flag_bypasses(self, config):
+        config.sizes["result"] = 0
+        mlds = MLDS(backend_count=2)
+        seed(mlds)
         mlds.kds.execute(retrieve(*REQ))
         mlds.kds.execute(retrieve(*REQ))
         snap = total_result_snapshot(mlds)
@@ -148,6 +149,39 @@ class TestInvalidation:
         backend.restore_file("alpha", image)  # abort path: file-level undo
         after = result_image(mlds.kds.execute(retrieve(*REQ)))
         assert all(dict(pairs).get("n") != 100 for pairs, _ in after)
+
+
+class TestSizesReachProcessWorkers:
+    """A process farm's caches take their size from ``config.sizes`` at spawn."""
+
+    @staticmethod
+    def backend_caches(mlds: MLDS, layer: str) -> list:
+        return [b.cache_snapshots()[layer] for b in mlds.kds.controller.backends]
+
+    @pytest.mark.parametrize("size", [0, 128])
+    def test_result_size_reaches_workers(self, config, size):
+        config.sizes["result"] = size
+        mlds = MLDS(backend_count=2, engine="process")
+        try:
+            seed(mlds)
+            mlds.kds.execute(retrieve(*REQ))
+            mlds.kds.execute(retrieve(*REQ))
+            hits = sum(s["hits"] for s in self.backend_caches(mlds, "result"))
+        finally:
+            mlds.kds.shutdown()
+        assert (hits == 0) == (size == 0)
+
+    @pytest.mark.parametrize("size", [0, 256])
+    def test_compile_size_reaches_workers(self, config, size):
+        config.sizes["compile"] = size
+        mlds = MLDS(backend_count=2, engine="process")
+        try:
+            seed(mlds)
+            mlds.kds.execute(retrieve(*REQ))
+            misses = sum(s["misses"] for s in self.backend_caches(mlds, "compile"))
+        finally:
+            mlds.kds.shutdown()
+        assert (misses == 0) == (size == 0)
 
 
 class TestEnginesAndDurability:

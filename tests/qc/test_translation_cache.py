@@ -42,7 +42,7 @@ class TestFindAnyAdapterCache:
         assert by_name.render() != other.render()
 
     def test_disabled_flag_bypasses(self, university, config):
-        config.translation_cache_enabled = False
+        config.sizes["translate"] = 0
         adapter = university.open_codasyl_session("university").engine.adapter
         first = adapter.find_any_query("student")
         second = adapter.find_any_query("student")
@@ -73,8 +73,8 @@ class TestFindAnyAdapterCache:
             "GET"
         )
         cached = session.run(text)
-        config.translation_cache_enabled = False
-        uncached = session.run(text)
+        config.sizes["translate"] = 0
+        uncached = university.open_codasyl_session("university").run(text)
         assert [(r.status, r.dbkey, r.values) for r in cached] == [
             (r.status, r.dbkey, r.values) for r in uncached
         ]
